@@ -156,7 +156,13 @@ func runMaster(args []string) error {
 	defer stop()
 	go srv.Sweep(ctx, *sweep)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	// Header and idle timeouts stop a slow or silent client from
+	// pinning a connection; request bodies are bounded by the handlers.
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-
-	"vbench/internal/cas"
-)
+import "vbench/internal/cas"
 
 // SpecCacheKey derives the content-addressed cache key of an encode
 // job spec. ok is false for specs that must not be cached or deduped:
@@ -15,7 +11,8 @@ import (
 //
 // The clip geometry stands in for pixel content: corpus clips are
 // procedurally generated, so (clip, scale, duration) determines the
-// input sequence exactly. The key uses the spec's own RowsParallel —
+// input sequence exactly (sourceKey, shared with the worker's source
+// memo). The key uses the spec's own RowsParallel —
 // before any worker-side default is applied — because the submission
 // is what the fleet dedups on, and a worker default does not change
 // the bitstream (codec.Config documents row parallelism as
@@ -36,7 +33,7 @@ func SpecCacheKey(spec JobSpec) (cas.Key, bool) {
 		return cas.Key{}, false
 	}
 	parts := cas.KeyParts{
-		Content:     fmt.Sprintf("spec:%s/%d/%g", spec.Clip, spec.Scale, spec.Duration),
+		Content:     specSource(spec).String(),
 		Tools:       eng.Tools,
 		Config:      specConfig(spec, rc),
 		Fingerprint: cas.Fingerprint(),

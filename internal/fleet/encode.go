@@ -120,15 +120,16 @@ func (x *Executor) Execute(spec JobSpec, attempt int, sleep func(time.Duration))
 	return Result{}, Terminal(fmt.Errorf("fleet: worker cannot execute job kind %q", spec.Kind))
 }
 
-// Execute runs one job attempt without a cache or worker defaults;
-// shorthand kept for tests and embedders that predate Executor.
-func Execute(spec JobSpec, attempt int, sleep func(time.Duration)) (Result, error) {
-	return (&Executor{}).Execute(spec, attempt, sleep)
-}
-
 // executeEncode runs a real codec transcode for an encode job,
-// serving it from the transcode cache when possible.
+// serving it from the transcode cache when possible and taking its
+// source from the process-wide source memo.
 func (x *Executor) executeEncode(spec JobSpec) (Result, error) {
+	// Executor is callable without a queue in front of it; a spec the
+	// queue would reject (a NaN duration, say) must not become a memo
+	// key.
+	if err := spec.Validate(); err != nil {
+		return Result{}, Terminal(err)
+	}
 	key, cacheable := cas.Key{}, false
 	if x.Cache != nil {
 		key, cacheable = SpecCacheKey(spec)
@@ -150,7 +151,7 @@ func (x *Executor) executeEncode(spec JobSpec) (Result, error) {
 	if err != nil {
 		return Result{}, Terminal(err)
 	}
-	seq, err := clip.Generate(spec.Scale, spec.Duration)
+	seq, err := source(clip, specSource(spec))
 	if err != nil {
 		return Result{}, Terminal(err)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -305,13 +306,25 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, TimelineResponse{Job: id, Dropped: dropped, Events: events})
 }
 
-// decode parses the JSON request body, answering 400 on failure.
+// maxRequestBody bounds every request body the master reads. The
+// largest legitimate bodies — a submission batch, an ack carrying a
+// metric push — are far smaller.
+const maxRequestBody = 8 << 20
+
+// decode parses the JSON request body, answering 413 past
+// maxRequestBody and 400 on any other failure.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body over %d bytes", tooLarge.Limit))
+	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("fleet: bad request body: %w", err))
-		return false
 	}
-	return true
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

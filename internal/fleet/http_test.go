@@ -148,6 +148,33 @@ func TestHTTPDuplicateAndStaleCompletion(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedSubmitRejected: a body past maxRequestBody is
+// refused with 413 before any job reaches the queue.
+func TestHTTPOversizedSubmitRejected(t *testing.T) {
+	q := NewQueue(Options{Metrics: telemetry.NewRegistry()})
+	srv := testMaster(t, q)
+	body, err := json.Marshal(SubmitRequest{Jobs: []JobSpec{
+		{Kind: KindNoop},
+		{Kind: KindNoop, Tag: strings.Repeat("x", maxRequestBody)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Post(srv.URL+"/api/v1/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit = %s, want 413", r.Status)
+	}
+	if st := q.Stats(); st.Submitted != 0 {
+		t.Errorf("oversized submit changed the queue: %+v", st)
+	}
+	// The master still serves ordinary requests.
+	submitNoops(t, srv.URL, 1, 0)
+}
+
 // TestHTTPMasterRestart snapshots a live master mid-lease, restores it
 // into a fresh process-worth of state, and shows the surviving
 // worker's completion still lands — leases are durable state.

@@ -14,6 +14,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -118,8 +119,10 @@ func (s JobSpec) Validate() error {
 		if s.Clip == "" || s.Encoder == "" {
 			return fmt.Errorf("fleet: encode job needs clip and encoder (got clip=%q encoder=%q)", s.Clip, s.Encoder)
 		}
-		if s.Scale < 1 || s.Duration <= 0 {
-			return fmt.Errorf("fleet: encode job needs scale >= 1 and duration > 0 (got scale=%d duration=%v)", s.Scale, s.Duration)
+		// A NaN duration slips past "<= 0" and would make a source-memo
+		// key that never hits; +Inf is no clip length either.
+		if s.Scale < 1 || s.Duration <= 0 || math.IsNaN(s.Duration) || math.IsInf(s.Duration, 0) {
+			return fmt.Errorf("fleet: encode job needs scale >= 1 and a finite duration > 0 (got scale=%d duration=%v)", s.Scale, s.Duration)
 		}
 	default:
 		// Other kinds (noop, embedder-defined) carry no queue-checked

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -23,11 +24,16 @@ func noopSpec() JobSpec { return JobSpec{Kind: KindNoop} }
 
 func TestSubmitValidation(t *testing.T) {
 	q, _ := simQueue(Options{})
-	if _, err := q.Submit(JobSpec{Kind: KindEncode}); err == nil {
-		t.Error("encode spec without clip/encoder accepted")
-	}
-	if _, err := q.Submit(JobSpec{Clip: "girl", Encoder: "x264-medium"}); err == nil {
-		t.Error("encode spec without scale/duration accepted")
+	for name, s := range map[string]JobSpec{
+		"no clip/encoder":   {Kind: KindEncode},
+		"no scale/duration": {Clip: "girl", Encoder: "x264-medium"},
+		"negative duration": {Clip: "girl", Encoder: "x264-medium", Scale: 16, Duration: -1},
+		"NaN duration":      {Clip: "girl", Encoder: "x264-medium", Scale: 16, Duration: math.NaN()},
+		"+Inf duration":     {Clip: "girl", Encoder: "x264-medium", Scale: 16, Duration: math.Inf(1)},
+	} {
+		if _, err := q.Submit(s); err == nil {
+			t.Errorf("%s: invalid encode spec accepted", name)
+		}
 	}
 	id, err := q.Submit(JobSpec{Clip: "girl", Encoder: "x264-medium", Scale: 16, Duration: 0.4})
 	if err != nil {

@@ -3,8 +3,10 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,7 +161,8 @@ func TestTimelineEndpoint(t *testing.T) {
 
 // TestMetricPushAbsorbed runs a real worker against a loopback master
 // and checks that the worker's metrics arrive in the master's registry
-// via piggybacked pushes.
+// via piggybacked pushes — including the source-memo mirrors, where a
+// second encode of the same clip scores one hit.
 func TestMetricPushAbsorbed(t *testing.T) {
 	masterReg := telemetry.NewRegistry()
 	q := NewQueue(Options{
@@ -167,8 +170,17 @@ func TestMetricPushAbsorbed(t *testing.T) {
 		LeaseTTL: 2 * time.Second,
 	})
 	srv := testMaster(t, q)
-	const jobs = 3
-	submitNoops(t, srv.URL, jobs, 2)
+	const noops, jobs = 3, 5
+	submitNoops(t, srv.URL, noops, 2)
+	// Two encodes of one source; the worker runs them one at a time, so
+	// the second finds the first's synthesized clip. The mirrors carry
+	// the process-wide counts, so the expectations start from them.
+	sources.EvictAll()
+	src := sources.Stats()
+	rawPost(t, srv.URL+"/api/v1/submit", &SubmitRequest{Jobs: []JobSpec{
+		{Clip: "cat", Encoder: "x264-veryfast", Scale: 32, Duration: 0.1, QP: 30},
+		{Clip: "cat", Encoder: "x264-veryfast", Scale: 32, Duration: 0.1, QP: 40},
+	}}, nil)
 
 	w, err := NewWorker(WorkerOptions{
 		Master:  srv.URL,
@@ -192,9 +204,18 @@ func TestMetricPushAbsorbed(t *testing.T) {
 	if n := masterReg.Counter("fleet.metric_pushes").Value(); n < 1 {
 		t.Error("master absorbed no metric pushes")
 	}
+	_, text := httpGet(t, srv.URL+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("worker.source_hits %d\n", src.Hits+src.Inflight+1),
+		fmt.Sprintf("worker.source_misses %d\n", src.Misses+1),
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("master /metrics lacks %q:\n%s", want, text)
+		}
+	}
 	// The pushes themselves carry the stage-clock mirrors (Absorb only
-	// materializes counters with nonzero deltas, and noop jobs never
-	// advance the codec clocks).
+	// materializes counters with nonzero deltas, and the codec clocks
+	// only advance while stage clocks are enabled).
 	push, seq := w.buildPush()
 	if push == nil || seq < 1 {
 		t.Fatalf("buildPush = %v seq %d", push, seq)

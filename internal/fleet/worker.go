@@ -36,6 +36,12 @@ const (
 	// codec.wave.occupancy histogram the same way, so /status can show
 	// per-worker wavefront utilization.
 	metricWaveOccupancy = "worker.wave_occupancy"
+	// worker.source_{hits,misses} mirror the process-wide source memo
+	// under the same one-worker-per-process assumption. A lookup that
+	// joined an in-flight synthesis counts as a hit: it generated
+	// nothing.
+	metricSourceHits   = "worker.source_hits"
+	metricSourceMisses = "worker.source_misses"
 )
 
 // WorkerOptions configures a pull worker.
@@ -300,6 +306,9 @@ func (w *Worker) buildPush() (*telemetry.Export, int64) {
 	e.Counters[metricStageTransform] = telemetry.GetCounter("codec.stage.transform_ns").Value()
 	e.Counters[metricStageEntropy] = telemetry.GetCounter("codec.stage.entropy_ns").Value()
 	e.Counters[metricStageGateWait] = telemetry.GetCounter("codec.stage.slice_gate_wait_ns").Value()
+	src := sources.Stats()
+	e.Counters[metricSourceHits] = src.Hits + src.Inflight
+	e.Counters[metricSourceMisses] = src.Misses
 	// Mirror the wavefront occupancy histogram whole (bounds included)
 	// so the master can absorb it and /status can report its mean
 	// without re-registering the codec's bucket layout.

@@ -35,7 +35,7 @@ func TestFleetJobSpecs(t *testing.T) {
 func TestFleetJobSpecExecutes(t *testing.T) {
 	// One grid cell through the real worker execution path.
 	specs := FleetJobSpecs(corpus.VBenchClips()[:1], []string{"x264-veryfast"}, 16, 0.2, 30)
-	res, err := fleet.Execute(specs[0], 1, nil)
+	res, err := (&fleet.Executor{}).Execute(specs[0], 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

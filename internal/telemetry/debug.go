@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"time"
 )
 
 // publishOnce guards the expvar registration: expvar.Publish panics on
@@ -46,7 +47,13 @@ func StartDebugServer(addr string) (shutdown func() error, err error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	// No WriteTimeout: /debug/pprof/profile and /debug/pprof/trace
+	// stream for as long as their seconds argument asks.
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	// Serve returns ErrServerClosed once the stop function calls
 	// Close; any earlier error just stops the optional endpoint.
 	go func() { _ = srv.Serve(ln) }()
