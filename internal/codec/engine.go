@@ -510,8 +510,6 @@ type frameEncoder struct {
 	lanes      []waveLane
 	wc         *waveCoord
 	gateShared bool
-
-	scratch [MBSize * MBSize]uint8
 }
 
 func newFrameEncoder(e *Engine, hdr *seqHeader, src, recon *video.Frame, qpGrid []int, refs []*video.Frame, mbW, ftype, qpBase int, c *perf.Counters, sc *encScratch) *frameEncoder {
@@ -761,7 +759,7 @@ func (fe *frameEncoder) decideInterMB(mbx, mby, px, py, qp, qpDelta int) *mbCand
 	// The SAD scan may abort at skipThresh+1: an aborted value is
 	// > skipThresh, so the skip decision below is identical to the one
 	// the exact SAD would make, and counter accounting is unchanged.
-	skipSAD, skipEarly := motion.PredSADThresh(srcY, px, py, ref0, predMV, MBSize, MBSize, fe.scratch[:], skipThresh+1, fe.c)
+	skipSAD, skipEarly := motion.PredSADThresh(srcY, px, py, ref0, predMV, MBSize, MBSize, skipThresh+1, fe.c)
 	if skipEarly {
 		fe.sc.motion.SADEarlyExits++
 	}

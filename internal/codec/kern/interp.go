@@ -5,8 +5,9 @@ import "encoding/binary"
 // The bilinear kernels operate on the clamp-free interior case: the
 // caller guarantees that all four taps of every output sample lie
 // inside the reference plane, i.e. rows 0..bh and columns 0..bw
-// (inclusive) are addressable from ref. Edge-replicating positions
-// stay on the scalar paths in internal/codec/motion.
+// (inclusive) are addressable from ref. For blocks whose taps reach
+// past the plane edge, internal/codec/motion passes an edge-emulated
+// copy of the (bw+1)×(bh+1) tap window instead of the plane.
 //
 // Lane safety: weights are the quarter-pel (Σw = 16, round 8, shift 4)
 // or eighth-pel (Σw = 64, round 32, shift 6) bilinear sets, so a lane

@@ -14,8 +14,8 @@ const flushChunks = 24
 // SAD returns the sum of absolute differences between two w×h pixel
 // blocks. a and b point at the top-left sample of each block and are
 // indexed with their own row strides. Both blocks must lie fully
-// inside their backing planes (no edge clamping — callers handle the
-// clamped slow path).
+// inside their backing slices (no edge clamping — callers pass an
+// edge-emulated copy for blocks past the plane edge).
 //
 //vbench:noalloc
 func SAD(a []uint8, aStride int, b []uint8, bStride int, w, h int) int64 {

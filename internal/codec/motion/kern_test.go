@@ -1,14 +1,16 @@
 package motion
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"vbench/internal/codec/kern"
 	"vbench/internal/perf"
 )
 
 // randPlane builds a plane with one of several textures; tiny planes
-// force the clamped edge paths, larger ones the interior kernels.
+// force the edge-emulated paths, larger ones the interior kernels.
 func randPlane(rng *rand.Rand, w, h int, mode int) Plane {
 	pix := make([]uint8, w*h)
 	switch mode {
@@ -93,6 +95,14 @@ func TestPredictMatchesRef(t *testing.T) {
 				t.Fatalf("PredictChroma (%d,%d) mv=%v %dx%d [%d]: got %d want %d", bx, by, mv, bw, bh, i, got[i], want[i])
 			}
 		}
+
+		PredictLumaSharp(got, ref, bx, by, mv, bw, bh, nil)
+		predictLumaSharpRef(want, ref, bx, by, mv, bw, bh)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("PredictLumaSharp (%d,%d) mv=%v %dx%d [%d]: got %d want %d", bx, by, mv, bw, bh, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -108,13 +118,12 @@ func TestSadSubpelMatchesRef(t *testing.T) {
 		cy := rng.Intn(H - bh + 1)
 		mv := randMV(rng, 6)
 
-		scratch := make([]uint8, bw*bh)
 		want := sadSubpelRef(cur, cx, cy, ref, mv, bw, bh, make([]uint8, bw*bh))
-		if got := sadSubpel(cur, cx, cy, ref, mv, bw, bh, scratch); got != want {
+		if got := sadSubpel(cur, cx, cy, ref, mv, bw, bh); got != want {
 			t.Fatalf("sadSubpel (%d,%d) mv=%v: got %d want %d", cx, cy, mv, got, want)
 		}
 		for _, th := range []int64{1, want / 2, want, want + 1} {
-			got, early := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, scratch, th)
+			got, early := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, th)
 			if !early && got != want {
 				t.Fatalf("sadSubpelThresh(th=%d): complete scan %d want %d", th, got, want)
 			}
@@ -130,7 +139,7 @@ func TestSadSubpelMatchesRef(t *testing.T) {
 // scalar references. TestSearchMatchesRef proves the thresholded
 // search follows the identical trajectory: same vector, same cost,
 // same perf counter values.
-func searchRef(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc *Scratch, c *perf.Counters) (MV, int64) {
+func searchRef(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, c *perf.Counters) (MV, int64) {
 	blockOps := int64(bw * bh)
 	evals := 0
 	cost := func(mx, my int) int64 {
@@ -199,7 +208,7 @@ func searchRef(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, 
 	if p.SubPel == 0 {
 		return best, bestCost
 	}
-	scratch := sc.predBuf(bw * bh)
+	scratch := make([]uint8, bw*bh)
 	subEvals := 0
 	steps := [2]int32{2, 1}
 	nSteps := 1
@@ -255,9 +264,9 @@ func TestSearchMatchesRef(t *testing.T) {
 		}
 
 		var cGot, cWant perf.Counters
-		var scGot, scWant Scratch
+		var scGot Scratch
 		gotMV, gotCost := Search(cur, bx, by, ref, pred, bw, bh, p, &scGot, &cGot)
-		wantMV, wantCost := searchRef(cur, bx, by, ref, pred, bw, bh, p, &scWant, &cWant)
+		wantMV, wantCost := searchRef(cur, bx, by, ref, pred, bw, bh, p, &cWant)
 		if gotMV != wantMV || gotCost != wantCost {
 			t.Fatalf("Search %v range=%d subpel=%d λ=%d at (%d,%d): got %v/%d want %v/%d",
 				p.Kind, p.Range, p.SubPel, p.Lambda, bx, by, gotMV, gotCost, wantMV, wantCost)
@@ -277,13 +286,12 @@ func TestPredSADThreshMatchesPredSAD(t *testing.T) {
 		bx := rng.Intn(W - 16 + 1)
 		by := rng.Intn(H - 16 + 1)
 		mv := randMV(rng, 6)
-		scratch := make([]uint8, 16*16)
 
 		var c1, c2 perf.Counters
-		exact := PredSAD(cur, bx, by, ref, mv, 16, 16, scratch, &c1)
+		exact := PredSAD(cur, bx, by, ref, mv, 16, 16, &c1)
 		for _, th := range []int64{1, exact, exact + 1, 1 << 40} {
 			var c perf.Counters
-			got, early := PredSADThresh(cur, bx, by, ref, mv, 16, 16, scratch, th, &c)
+			got, early := PredSADThresh(cur, bx, by, ref, mv, 16, 16, th, &c)
 			if !early && got != exact {
 				t.Fatalf("PredSADThresh(th=%d): %d want %d", th, got, exact)
 			}
@@ -296,4 +304,109 @@ func TestPredSADThreshMatchesPredSAD(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkEdgeCase checks every edge-emulating path on one input against
+// the clamped scalar references: the three predictors sample for
+// sample, and sadThresh / sadSubpelThresh for the exact (sum, early)
+// pair that reference prediction followed by kern.SADThresh returns,
+// at thresholds 0, 1, exact/2, exact, exact+1 and thresh. cur must
+// hold the bs×bs block at (bx, by); ref may have any size.
+func checkEdgeCase(t *testing.T, cur, ref Plane, bx, by int, mv MV, bs int, thresh int64) {
+	t.Helper()
+	got := make([]uint8, bs*bs)
+	want := make([]uint8, bs*bs)
+	samePred := func(name string) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %dx%d from %dx%d plane at (%d,%d) mv=%v [%d]: got %d want %d",
+					name, bs, bs, ref.W, ref.H, bx, by, mv, i, got[i], want[i])
+			}
+		}
+	}
+	PredictLuma(got, ref, bx, by, mv, bs, bs)
+	predictLumaRef(want, ref, bx, by, mv, bs, bs)
+	samePred("PredictLuma")
+	PredictChroma(got, ref, bx, by, mv, bs, bs)
+	predictChromaRef(want, ref, bx, by, mv, bs, bs)
+	samePred("PredictChroma")
+	var sc Scratch
+	PredictLumaSharp(got, ref, bx, by, mv, bs, bs, &sc)
+	predictLumaSharpRef(want, ref, bx, by, mv, bs, bs)
+	samePred("PredictLumaSharp")
+
+	c := cur.Pix[by*cur.W+bx:]
+	sameSAD := func(name string, v MV, sad func(th int64) (int64, bool)) {
+		t.Helper()
+		predictLumaRef(want, ref, bx, by, v, bs, bs)
+		exact, _ := kern.SADThresh(c, cur.W, want, bs, bs, bs, math.MaxInt64)
+		for _, th := range []int64{0, 1, exact / 2, exact, exact + 1, thresh} {
+			wantSum, wantEarly := kern.SADThresh(c, cur.W, want, bs, bs, bs, th)
+			if sum, early := sad(th); sum != wantSum || early != wantEarly {
+				t.Fatalf("%s %dx%d from %dx%d plane at (%d,%d) mv=%v th=%d: got (%d, %v) want (%d, %v)",
+					name, bs, bs, ref.W, ref.H, bx, by, v, th, sum, early, wantSum, wantEarly)
+			}
+		}
+	}
+	rx, ry := bx+int(mv.X>>2), by+int(mv.Y>>2)
+	sameSAD("sadThresh", MV{mv.X &^ 3, mv.Y &^ 3}, func(th int64) (int64, bool) {
+		return sadThresh(cur, bx, by, ref, rx, ry, bs, bs, th)
+	})
+	sameSAD("sadSubpelThresh", mv, func(th int64) (int64, bool) {
+		return sadSubpelThresh(cur, bx, by, ref, mv, bs, bs, th)
+	})
+}
+
+// TestEdgePathsFarOutside uses vectors reaching up to four plane widths
+// past every edge, as a hostile bitstream can hand the decoder.
+func TestEdgePathsFarOutside(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for iter := 0; iter < 2000; iter++ {
+		bs := []int{4, 8, 16}[rng.Intn(3)]
+		W := bs + 1 + rng.Intn(40)
+		H := bs + 1 + rng.Intn(30)
+		cur := randPlane(rng, W, H, iter%3)
+		ref := randPlane(rng, W, H, (iter+1)%3)
+		reach := 4 * 4 * max(W, H)
+		mv := MV{int32(rng.Intn(2*reach+1) - reach), int32(rng.Intn(2*reach+1) - reach)}
+		checkEdgeCase(t, cur, ref, rng.Intn(W-bs+1), rng.Intn(H-bs+1), mv, bs, rng.Int63n(1<<14))
+	}
+}
+
+// TestEdgePathsTinyPlanes predicts from reference planes narrower or
+// shorter than the block plus one, down to a single sample, so no
+// sub-pel window fits inside them in that dimension.
+func TestEdgePathsTinyPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for iter := 0; iter < 2000; iter++ {
+		bs := []int{4, 8, 16}[rng.Intn(3)]
+		W := 1 + rng.Intn(bs+1)
+		H := 1 + rng.Intn(bs+1)
+		switch iter % 3 {
+		case 1:
+			W = bs + 1 + rng.Intn(32)
+		case 2:
+			H = bs + 1 + rng.Intn(32)
+		}
+		cur := randPlane(rng, bs+8, bs+8, iter%3)
+		ref := randPlane(rng, W, H, (iter+1)%3)
+		checkEdgeCase(t, cur, ref, rng.Intn(9), rng.Intn(9), randMV(rng, 8), bs, rng.Int63n(1<<14))
+	}
+}
+
+// FuzzPredictEdge checks the edge-emulating prediction and SAD paths
+// against the clamped references for any plane size up to 64×64, block
+// position, block size, vector (any int32, as a corrupt bitstream can
+// carry) and threshold. seed draws the pixels; bsel picks the block
+// size and, divided by three, the reference texture.
+func FuzzPredictEdge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, w, h, bx, by uint8, mvx, mvy int32, bsel uint8, thresh int64) {
+		bs := []int{4, 8, 16}[bsel%3]
+		W, H := 1+int(w)%64, 1+int(h)%64
+		rng := rand.New(rand.NewSource(seed))
+		ref := randPlane(rng, W, H, int(bsel/3)%3)
+		cur := randPlane(rng, max(W, bs), max(H, bs), 0)
+		checkEdgeCase(t, cur, ref, int(bx)%(cur.W-bs+1), int(by)%(cur.H-bs+1), MV{mvx, mvy}, bs, thresh)
+	})
 }

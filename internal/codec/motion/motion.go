@@ -28,70 +28,56 @@ type Plane struct {
 	W, H int
 }
 
-// clampedSample returns the sample at (x, y) with edge replication.
-func (p Plane) clampedSample(x, y int) uint8 {
-	if x < 0 {
-		x = 0
-	} else if x >= p.W {
-		x = p.W - 1
+// maxBlock bounds the block width and height of every prediction or
+// SAD that runs on an edge-emulated window, since the window lives in
+// a fixed stack buffer. The codec predicts 16×16 luma and 8×8 chroma
+// blocks.
+const maxBlock = 16
+
+// edgeBuf holds one edge-emulated window. It is sized for the largest
+// window any path builds, the 4-tap filter's (maxBlock+3)².
+type edgeBuf [(maxBlock + 3) * (maxBlock + 3)]uint8
+
+// edgeWindow writes the w×h window of p whose top-left sample is
+// (x0, y0) into dst with stride w, replicating the nearest edge sample
+// for every position outside the plane (FFmpeg's emulated_edge_mc).
+// Each row is a left fill, one copy and a right fill, so a kernel run
+// on the window reads exactly the taps a per-sample clamp would.
+//
+//vbench:noalloc
+func (p Plane) edgeWindow(dst []uint8, x0, y0, w, h int) {
+	// Window columns [l, r) lie inside the plane; those left of l
+	// replicate column 0 and those from r on replicate column W−1.
+	l := min(max(-x0, 0), w)
+	r := max(min(p.W-x0, w), l)
+	for y := 0; y < h; y++ {
+		sy := min(max(y0+y, 0), p.H-1)
+		row := p.Pix[sy*p.W : (sy+1)*p.W]
+		d := dst[y*w : (y+1)*w]
+		for x := 0; x < l; x++ {
+			d[x] = row[0]
+		}
+		if l < r {
+			copy(d[l:r], row[x0+l:x0+r])
+		}
+		for x := r; x < w; x++ {
+			d[x] = row[p.W-1]
+		}
 	}
-	if y < 0 {
-		y = 0
-	} else if y >= p.H {
-		y = p.H - 1
-	}
-	return p.Pix[y*p.W+x]
+}
+
+// inside reports whether the w×h window at (x0, y0) lies in p.
+func (p Plane) inside(x0, y0, w, h int) bool {
+	return x0 >= 0 && y0 >= 0 && x0+w <= p.W && y0+h <= p.H
 }
 
 // SAD returns the sum of absolute differences between the bw×bh block
 // of cur at (cx, cy) — which must lie fully inside cur — and the block
-// of ref at (rx, ry), which is clamped to the reference bounds.
-// Interior references take the packed SWAR kernel; edge-clamped ones
-// stay on the scalar loop. sadRef preserves the all-scalar original as
-// the cross-check reference.
+// of ref at (rx, ry), whose out-of-plane samples replicate the nearest
+// edge. A reference block past the plane edge may be at most 16×16.
 func SAD(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	if rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H {
-		return kern.SAD(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[ry*ref.W+rx:], ref.W, bw, bh)
-	}
-	return sadClamped(cur, cx, cy, ref, rx, ry, bw, bh)
-}
-
-// sadClamped is the edge-replicating SAD slow path.
-func sadClamped(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(ref.clampedSample(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-	}
-	return sum
-}
-
-// sadRef is the original all-scalar SAD, kept verbatim as the
-// reference implementation for the kernel cross-check tests.
-func sadRef(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	var sum int64
-	fastPath := rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H
-	if fastPath {
-		for y := 0; y < bh; y++ {
-			cRow := cur.Pix[(cy+y)*cur.W+cx:]
-			rRow := ref.Pix[(ry+y)*ref.W+rx:]
-			for x := 0; x < bw; x++ {
-				d := int(cRow[x]) - int(rRow[x])
-				if d < 0 {
-					d = -d
-				}
-				sum += int64(d)
-			}
-		}
-		return sum
-	}
-	return sadClamped(cur, cx, cy, ref, rx, ry, bw, bh)
+	sad, _ := sadThresh(cur, cx, cy, ref, rx, ry, bw, bh, math.MaxInt64)
+	return sad
 }
 
 // sadThresh is SAD with deterministic early termination (see
@@ -100,42 +86,29 @@ func sadRef(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
 // the pixel data and thresh, never on timing, so results are
 // bit-reproducible. Callers must only use aborted values in
 // comparisons they are guaranteed to lose (cost ≥ thresh + mvCost ≥
-// incumbent best).
+// incumbent best). A reference block past the plane edge is first
+// emulated into a stack window.
+//
+//vbench:noalloc
 func sadThresh(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int, thresh int64) (int64, bool) {
-	if rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H {
+	if ref.inside(rx, ry, bw, bh) {
 		return kern.SADThresh(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[ry*ref.W+rx:], ref.W, bw, bh, thresh)
 	}
-	if thresh <= 0 {
-		return 0, true
-	}
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(ref.clampedSample(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-		if sum >= thresh && y+1 < bh {
-			return sum, true
-		}
-	}
-	return sum, false
+	var win edgeBuf
+	ref.edgeWindow(win[:], rx, ry, bw, bh)
+	return kern.SADThresh(cur.Pix[cy*cur.W+cx:], cur.W, win[:], bw, bw, bh, thresh)
 }
 
 // Scratch holds the reusable buffers of one motion-search /
 // motion-compensation caller, hoisted out of the per-call hot path so
-// steady-state search and sub-pel interpolation perform no heap
-// allocations. Buffers grow on demand and are retained across calls;
-// each Scratch must be owned by a single goroutine (the codec gives
-// every slice encoder its own). A nil *Scratch is valid and falls back
-// to per-call allocation, preserving the old behaviour for callers
-// that do not keep one.
+// steady-state sharp interpolation performs no heap allocations.
+// Buffers grow on demand and are retained across calls; each Scratch
+// must be owned by a single goroutine (the codec gives every slice
+// encoder its own). A nil *Scratch is valid and falls back to per-call
+// allocation, preserving the old behaviour for callers that do not
+// keep one.
 type Scratch struct {
-	pred []uint8
-	tmp  []int32
+	tmp []int32
 
 	// SADEarlyExits counts SAD evaluations the threshold kernels
 	// aborted early during searches using this Scratch. Telemetry
@@ -143,17 +116,6 @@ type Scratch struct {
 	// coding decision, and perf.Counters op counts stay at their
 	// nominal (full-block) values regardless of aborts.
 	SADEarlyExits int64
-}
-
-// predBuf returns an n-sample prediction buffer.
-func (s *Scratch) predBuf(n int) []uint8 {
-	if s == nil {
-		return make([]uint8, n)
-	}
-	if cap(s.pred) < n {
-		s.pred = make([]uint8, n)
-	}
-	return s.pred[:n]
 }
 
 // tmpBuf returns an n-element intermediate buffer for the separable
@@ -183,34 +145,35 @@ var sharpTaps = [4][4]int{
 // PredictLumaSharp writes the motion-compensated prediction like
 // PredictLuma but interpolates sub-pel positions with the separable
 // 4-tap kernel (applied horizontally then vertically with
-// intermediate 14-bit precision). sc provides the intermediate-pass
-// buffer; nil allocates one per call.
+// intermediate 14-bit precision). The horizontal pass reads an
+// edge-emulated window, so no tap is clamped individually; sub-pel
+// blocks may be at most 16×16. sc provides the intermediate-pass buffer; nil allocates
+// one per call.
 func PredictLumaSharp(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int, sc *Scratch) {
 	ix := bx + int(mv.X>>2)
 	iy := by + int(mv.Y>>2)
 	fx := int(mv.X & 3)
 	fy := int(mv.Y & 3)
 	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
+		ref.edgeWindow(dst, ix, iy, bw, bh)
 		return
 	}
 	wx := sharpTaps[fx]
 	wy := sharpTaps[fy]
-	// Horizontal pass over bh+3 rows (one above, two below), Q6.
+	// The taps reach one sample above and left of the block and two
+	// below and right of it.
+	var win edgeBuf
+	stride := bw + 3
 	tmpH := bh + 3
+	ref.edgeWindow(win[:], ix-1, iy-1, stride, tmpH)
+	// Horizontal pass over all tmpH window rows, Q6.
 	tmp := sc.tmpBuf(bw * tmpH)
 	for y := 0; y < tmpH; y++ {
-		sy := iy + y - 1
-		for x := 0; x < bw; x++ {
-			var s int
-			for i := 0; i < 4; i++ {
-				s += wx[i] * int(ref.clampedSample(ix+x-1+i, sy))
-			}
-			tmp[y*bw+x] = int32(s)
+		row := win[y*stride : (y+1)*stride]
+		t := tmp[y*bw : (y+1)*bw]
+		for x := range t {
+			p := row[x : x+4]
+			t[x] = int32(wx[0]*int(p[0]) + wx[1]*int(p[1]) + wx[2]*int(p[2]) + wx[3]*int(p[3]))
 		}
 	}
 	// Vertical pass, Q12 → samples.
@@ -235,135 +198,64 @@ func PredictLumaSharp(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int, sc 
 // block at (bx, by) with motion vector mv (quarter-pel) from ref into
 // dst (row-major, stride bw). Sub-pel positions use bilinear
 // interpolation with 1/16 rounding; out-of-frame references replicate
-// edges.
-// Interior blocks — the overwhelmingly common case away from frame
-// edges — skip per-sample clamping: integer vectors become row
-// copies and sub-pel vectors take the SWAR kernel. Edge positions
-// fall back to predictLumaRef, the preserved scalar original, which
-// is also the cross-check reference.
+// edges. Integer vectors are row copies. Sub-pel vectors run the SWAR
+// kernel, directly on ref for interior blocks and on an edge-emulated
+// window for blocks whose taps reach past the plane; such blocks may
+// be at most 16×16.
+//
+//vbench:noalloc
 func PredictLuma(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>2)
-	iy := by + int(mv.Y>>2)
-	fx := int(mv.X & 3)
-	fy := int(mv.Y & 3)
-	if fx == 0 && fy == 0 {
-		if ix >= 0 && iy >= 0 && ix+bw <= ref.W && iy+bh <= ref.H {
-			for y := 0; y < bh; y++ {
-				copy(dst[y*bw:(y+1)*bw], ref.Pix[(iy+y)*ref.W+ix:])
-			}
-			return
-		}
-		predictLumaRef(dst, ref, bx, by, mv, bw, bh)
-		return
-	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (4 - fx) * (4 - fy)
-		w10 := fx * (4 - fy)
-		w01 := (4 - fx) * fy
-		w11 := fx * fy
-		kern.PredictBilinear(dst, bw, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, 8, 4, bw, bh)
-		return
-	}
-	predictLumaRef(dst, ref, bx, by, mv, bw, bh)
-}
-
-// predictLumaRef is the original clamped scalar implementation of
-// PredictLuma, the normative reference for all luma prediction paths.
-func predictLumaRef(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>2)
-	iy := by + int(mv.Y>>2)
-	fx := int(mv.X & 3)
-	fy := int(mv.Y & 3)
-	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
-		return
-	}
-	w00 := (4 - fx) * (4 - fy)
-	w10 := fx * (4 - fy)
-	w01 := (4 - fx) * fy
-	w11 := fx * fy
-	for y := 0; y < bh; y++ {
-		for x := 0; x < bw; x++ {
-			a := int(ref.clampedSample(ix+x, iy+y))
-			b := int(ref.clampedSample(ix+x+1, iy+y))
-			c := int(ref.clampedSample(ix+x, iy+y+1))
-			d := int(ref.clampedSample(ix+x+1, iy+y+1))
-			dst[y*bw+x] = uint8((a*w00 + b*w10 + c*w01 + d*w11 + 8) >> 4)
-		}
-	}
+	predictBilinear(dst, ref, bx+int(mv.X>>2), by+int(mv.Y>>2), int(mv.X&3), int(mv.Y&3), 4, 4, bw, bh)
 }
 
 // PredictChroma writes the bw×bh chroma prediction for chroma-plane
 // block position (bx, by) using the luma-domain quarter-pel vector mv,
 // which has eighth-pel precision in the half-resolution chroma plane.
+// Edges are handled as in PredictLuma.
+//
+//vbench:noalloc
 func PredictChroma(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>3)
-	iy := by + int(mv.Y>>3)
-	fx := int(mv.X & 7)
-	fy := int(mv.Y & 7)
-	if fx == 0 && fy == 0 {
-		if ix >= 0 && iy >= 0 && ix+bw <= ref.W && iy+bh <= ref.H {
-			for y := 0; y < bh; y++ {
-				copy(dst[y*bw:(y+1)*bw], ref.Pix[(iy+y)*ref.W+ix:])
-			}
-			return
-		}
-		predictChromaRef(dst, ref, bx, by, mv, bw, bh)
-		return
-	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (8 - fx) * (8 - fy)
-		w10 := fx * (8 - fy)
-		w01 := (8 - fx) * fy
-		w11 := fx * fy
-		kern.PredictBilinear(dst, bw, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, 32, 6, bw, bh)
-		return
-	}
-	predictChromaRef(dst, ref, bx, by, mv, bw, bh)
+	predictBilinear(dst, ref, bx+int(mv.X>>3), by+int(mv.Y>>3), int(mv.X&7), int(mv.Y&7), 8, 6, bw, bh)
 }
 
-// predictChromaRef is the original clamped scalar implementation of
-// PredictChroma, the normative reference for chroma prediction.
-func predictChromaRef(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>3)
-	iy := by + int(mv.Y>>3)
-	fx := int(mv.X & 7)
-	fy := int(mv.Y & 7)
+// bilinearWeights returns the four tap weights of the fractional
+// position (fx, fy), given in units of 1/n sample; they sum to n².
+func bilinearWeights(fx, fy, n int) (w00, w10, w01, w11 int) {
+	return (n - fx) * (n - fy), fx * (n - fy), (n - fx) * fy, fx * fy
+}
+
+// predictBilinear writes the bw×bh bilinear prediction whose top-left
+// integer tap is (ix, iy) and whose fractional offset is (fx, fy) in
+// units of 1/n sample, with n² = 1<<shift.
+//
+//vbench:noalloc
+func predictBilinear(dst []uint8, ref Plane, ix, iy, fx, fy, n int, shift uint, bw, bh int) {
 	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
+		ref.edgeWindow(dst, ix, iy, bw, bh)
 		return
 	}
-	w00 := (8 - fx) * (8 - fy)
-	w10 := fx * (8 - fy)
-	w01 := (8 - fx) * fy
-	w11 := fx * fy
-	for y := 0; y < bh; y++ {
-		for x := 0; x < bw; x++ {
-			a := int(ref.clampedSample(ix+x, iy+y))
-			b := int(ref.clampedSample(ix+x+1, iy+y))
-			c := int(ref.clampedSample(ix+x, iy+y+1))
-			d := int(ref.clampedSample(ix+x+1, iy+y+1))
-			dst[y*bw+x] = uint8((a*w00 + b*w10 + c*w01 + d*w11 + 32) >> 6)
-		}
+	w00, w10, w01, w11 := bilinearWeights(fx, fy, n)
+	round := n * n / 2
+	if ref.inside(ix, iy, bw+1, bh+1) {
+		kern.PredictBilinear(dst, bw, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, round, shift, bw, bh)
+		return
 	}
+	var win edgeBuf
+	ref.edgeWindow(win[:], ix, iy, bw+1, bh+1)
+	kern.PredictBilinear(dst, bw, win[:], bw+1, w00, w10, w01, w11, round, shift, bw, bh)
 }
 
 // sadSubpelThresh computes the SAD of the current block against the
 // interpolated reference at quarter-pel vector mv, aborting (like
-// sadThresh) once the running sum reaches thresh. Interior sub-pel
-// windows take the fused SWAR interpolate+SAD kernel, which never
-// materializes the prediction; all other cases predict into scratch
-// with the normative path and difference the packed buffer. Both
-// routes produce the exact PredictLuma+SAD value when not aborted.
-func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8, thresh int64) (int64, bool) {
+// sadThresh) once the running sum reaches thresh. Sub-pel candidates
+// take the fused SWAR interpolate+SAD kernel, which never materializes
+// the prediction: directly on ref for interior windows, on an
+// edge-emulated copy otherwise. Either way, a non-aborted result is
+// the exact PredictLuma+SAD value, and the abort point is the one
+// kern.SADThresh would reach on that prediction.
+//
+//vbench:noalloc
+func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, thresh int64) (int64, bool) {
 	ix := cx + int(mv.X>>2)
 	iy := cy + int(mv.Y>>2)
 	fx := int(mv.X & 3)
@@ -371,49 +263,21 @@ func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratc
 	if fx == 0 && fy == 0 {
 		return sadThresh(cur, cx, cy, ref, ix, iy, bw, bh, thresh)
 	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (4 - fx) * (4 - fy)
-		w10 := fx * (4 - fy)
-		w01 := (4 - fx) * fy
-		w11 := fx * fy
-		return kern.BilinearSADThresh(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[iy*ref.W+ix:], ref.W,
-			w00, w10, w01, w11, 8, 4, bw, bh, thresh)
+	w00, w10, w01, w11 := bilinearWeights(fx, fy, 4)
+	c := cur.Pix[cy*cur.W+cx:]
+	if ref.inside(ix, iy, bw+1, bh+1) {
+		return kern.BilinearSADThresh(c, cur.W, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, 8, 4, bw, bh, thresh)
 	}
-	PredictLuma(scratch, ref, cx, cy, mv, bw, bh)
-	return kern.SADThresh(cur.Pix[cy*cur.W+cx:], cur.W, scratch, bw, bw, bh, thresh)
-}
-
-// sadSubpel computes the exact SAD of the current block against the
-// interpolated reference at quarter-pel vector mv.
-func sadSubpel(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8) int64 {
-	sad, _ := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, scratch, math.MaxInt64)
-	return sad
-}
-
-// sadSubpelRef is the original predict-then-difference scalar
-// implementation, kept as the cross-check reference.
-func sadSubpelRef(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8) int64 {
-	predictLumaRef(scratch, ref, cx, cy, mv, bw, bh)
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		pRow := scratch[y*bw:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(pRow[x])
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-	}
-	return sum
+	var win edgeBuf
+	ref.edgeWindow(win[:], ix, iy, bw+1, bh+1)
+	return kern.BilinearSADThresh(c, cur.W, win[:], bw+1, w00, w10, w01, w11, 8, 4, bw, bh, thresh)
 }
 
 // PredSAD returns the SAD between the bw×bh block of cur at (bx, by)
 // and its motion-compensated prediction from ref at quarter-pel vector
-// mv. scratch must hold bw×bh samples. Work is accounted into c.
-func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint8, c *perf.Counters) int64 {
-	sad, _ := PredSADThresh(cur, bx, by, ref, mv, bw, bh, scratch, math.MaxInt64, c)
+// mv. Work is accounted into c.
+func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, c *perf.Counters) int64 {
+	sad, _ := PredSADThresh(cur, bx, by, ref, mv, bw, bh, math.MaxInt64, c)
 	return sad
 }
 
@@ -422,7 +286,7 @@ func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint
 // ≥ thresh and early=true. Counter accounting is identical to PredSAD
 // — op counts are nominal full-block work, unaffected by aborts, so
 // modeled speeds stay deterministic (see docs/FORMAT.md).
-func PredSADThresh(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint8, thresh int64, c *perf.Counters) (int64, bool) {
+func PredSADThresh(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, thresh int64, c *perf.Counters) (int64, bool) {
 	blockOps := int64(bw * bh)
 	if mv.X&3 == 0 && mv.Y&3 == 0 {
 		c.Count(perf.KSAD, blockOps)
@@ -430,7 +294,7 @@ func PredSADThresh(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch 
 	}
 	c.Count(perf.KInterp, blockOps*4)
 	c.Count(perf.KSAD, blockOps)
-	return sadSubpelThresh(cur, bx, by, ref, mv, bw, bh, scratch, thresh)
+	return sadSubpelThresh(cur, bx, by, ref, mv, bw, bh, thresh)
 }
 
 // SearchKind selects the integer-pel search strategy.
@@ -512,9 +376,9 @@ func (s *intSearcher) cost(mx, my int) int64 {
 
 // Search finds a motion vector for the bw×bh block at (bx, by) of cur
 // in ref. pred is the motion-vector predictor used for rate costing
-// and as the search start point. sc provides the sub-pel interpolation
-// scratch (nil allocates per call). Returns the best vector
-// (quarter-pel) and its cost. Work is accounted into c.
+// and as the search start point. sc, when non-nil, accumulates the
+// search's SADEarlyExits. Returns the best vector (quarter-pel) and its
+// cost. Work is accounted into c.
 func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc *Scratch, c *perf.Counters) (MV, int64) {
 	blockOps := int64(bw * bh)
 	s := intSearcher{cur: cur, ref: ref, bx: bx, by: by, bw: bw, bh: bh, pred: pred, lambda: p.Lambda, best: math.MaxInt64}
@@ -567,7 +431,6 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 	// candidate's SAD aborts once it reaches bestCost−mvCost; aborted
 	// values cannot win the comparison, so the refinement trajectory
 	// matches the full evaluation exactly.
-	scratch := sc.predBuf(bw * bh)
 	subEvals := 0
 	steps := [2]int32{2, 1}
 	nSteps := 1
@@ -586,7 +449,7 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 				}
 				subEvals++
 				mvCost := p.Lambda * mvdBits(cand, pred) / 16
-				sad, early := sadSubpelThresh(cur, bx, by, ref, cand, bw, bh, scratch, bestCost-mvCost)
+				sad, early := sadSubpelThresh(cur, bx, by, ref, cand, bw, bh, bestCost-mvCost)
 				if early {
 					s.earlyExits++
 				}

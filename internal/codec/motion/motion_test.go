@@ -197,11 +197,10 @@ func TestSubPelRefinementImprovesSAD(t *testing.T) {
 		}
 	}
 	var c perf.Counters
-	scratch := make([]uint8, 256)
 	mvInt, _ := Search(cur, 32, 32, ref, MV{}, 16, 16, Params{Kind: SearchFull, Range: 4, SubPel: 0}, nil, &c)
 	mvHalf, _ := Search(cur, 32, 32, ref, MV{}, 16, 16, Params{Kind: SearchFull, Range: 4, SubPel: 2}, nil, &c)
-	sadInt := PredSAD(cur, 32, 32, ref, mvInt, 16, 16, scratch, &c)
-	sadHalf := PredSAD(cur, 32, 32, ref, mvHalf, 16, 16, scratch, &c)
+	sadInt := PredSAD(cur, 32, 32, ref, mvInt, 16, 16, &c)
+	sadHalf := PredSAD(cur, 32, 32, ref, mvHalf, 16, 16, &c)
 	if sadHalf > sadInt {
 		t.Errorf("sub-pel refinement worsened SAD: %d > %d", sadHalf, sadInt)
 	}
