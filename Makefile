@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench benchall e2e fingerprint
+.PHONY: check fmt vet lint build test race bench results e2e fingerprint
 
 check: fmt vet lint build race e2e
 
@@ -20,9 +20,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags vbench_nodebug ./...
 
-# lint runs the project analyzers (detorder, spanpair, metricname,
-# lockflow — see docs/LINT.md) through the go vet driver so results
-# cache per package, under both build-tag configurations like vet.
+# lint runs the project analyzers (detorder, hotalloc, leakgo,
+# lockflow, locksafe, metricname, spanpair, statemachine — see
+# docs/LINT.md) through the go vet driver so results cache per
+# package, under both build-tag configurations like vet.
 lint:
 	$(GO) build -o bin/vbenchlint ./cmd/vbenchlint
 	$(GO) vet -vettool=$(CURDIR)/bin/vbenchlint ./...
@@ -43,16 +44,27 @@ race:
 e2e:
 	./scripts/e2e_fleet.sh
 
-# bench runs the harness-grid scaling benchmark, the telemetry
-# overhead benchmark (acceptance budget: "on" < 5% over "off"), the
-# encode allocation benchmark with wavefront off and on (budget in
-# ALLOC_BUDGET.json), the wavefront row-parallel encode benchmark,
-# the transcode-cache hit/miss benchmarks (internal/cas), and the
-# codec kernel micro-benchmarks (scalar vs SWAR, internal/codec/kern),
-# and records the machine-readable report in BENCH_harness.json.
+# bench runs the end-to-end benchmark (bench/README.md) once per
+# workload named in BENCHMARK.json, traced so every run also reports
+# the per-layer metrics, and appends each result to
+# bench/out/runs.jsonl.
 bench:
-	$(GO) test -bench 'HarnessGrid|TelemetryOverhead|EncodeAllocs|WavefrontEncode|CacheHit|CacheMiss|SAD|SATD|DCT|Quant|Interp' -benchmem -run '^$$' . ./internal/codec/kern \
-		| $(GO) run ./cmd/benchjson -o BENCH_harness.json
+	for w in $$(jq -r '.workloads[].name' BENCHMARK.json); do \
+		bash bench/run.sh --workload $$w --trace 1 --record bench/out/runs.jsonl || exit 1; \
+	done
+
+# results regenerates the committed report runs: every table and
+# figure (results_full.txt) and the supplementary studies
+# (studies_output.txt), both at 1/12 scale × 0.8 s. The output is
+# identical at any -j; CI reruns this and fails on any diff.
+results:
+	$(GO) build -o bin/figures ./cmd/figures
+	$(GO) build -o bin/vbench ./cmd/vbench
+	bin/figures -all -scale 12 -duration 0.8 > results_full.txt
+	{ bin/figures -fig 2 -scale 12 -duration 0.8 && \
+	for s in upload platform ablation isasweep decode; do \
+		bin/vbench -scenario $$s -scale 12 -duration 0.8 || exit 1; \
+	done; } > studies_output.txt
 
 # fingerprint regenerates the codec-version fingerprint baked into
 # every cache key (internal/cas/fingerprint_gen.go). Run after any
@@ -60,7 +72,3 @@ bench:
 # metrics,perf,video}); TestFingerprintCurrent fails until you do.
 fingerprint:
 	$(GO) run ./internal/cas/gen
-
-# benchall runs every benchmark in the repository.
-benchall:
-	$(GO) test -bench=. -benchmem -run=^$$ .

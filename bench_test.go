@@ -4,281 +4,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"vbench/internal/cas"
-	"vbench/internal/codec"
 	"vbench/internal/corpus"
-	"vbench/internal/harness"
-	"vbench/internal/perf"
-	"vbench/internal/scoring"
-	"vbench/internal/service"
-	"vbench/internal/telemetry"
-	"vbench/internal/uarch"
 )
 
-// Benchmark harness: one testing.B benchmark per table and figure of
-// the paper. Each iteration regenerates the corresponding result at a
-// reduced scale (1/16 resolution, 0.4-second clips) so the full bench
-// suite completes in minutes; `cmd/figures -scale 8 -duration 1`
-// produces the report-quality run recorded in EXPERIMENTS.md.
-
-const (
-	benchScale    = 16
-	benchDuration = 0.4
-)
-
-func benchRunner() *harness.Runner {
-	return harness.NewRunner(benchScale, benchDuration)
-}
-
-// BenchmarkFig1GrowthGap renders the upload-vs-CPU growth series.
-func BenchmarkFig1GrowthGap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := harness.Figure1()
-		if len(t.Rows) != 11 {
-			b.Fatal("bad figure 1")
-		}
-	}
-}
-
-// BenchmarkFig2RateDistortion sweeps bitrate for the three software
-// encoder families on one HD clip (PSNR curve + speed curve).
-func BenchmarkFig2RateDistortion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		_, points, err := r.Figure2("funny", []float64{0.5, 2, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(points) != 9 {
-			b.Fatal("bad point count")
-		}
-	}
-}
-
-// BenchmarkFig4Coverage builds the corpus model and the per-suite
-// coverage comparison.
-func BenchmarkFig4Coverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Figure4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// uarchPoints is shared by the figure 5/6/7 benchmarks.
-func uarchPoints(b *testing.B, r *harness.Runner) []harness.UArchPoint {
-	b.Helper()
-	points, err := r.UArchStudy([]corpus.Suite{corpus.SuiteVBench})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return points
-}
-
-// BenchmarkFig5MPKI runs the cache/branch characterization across the
-// vbench suite and fits the entropy trends.
-func BenchmarkFig5MPKI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		points := uarchPoints(b, r)
-		if _, err := harness.Figure5(points); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6TopDown computes the Top-Down distribution per suite.
-func BenchmarkFig6TopDown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		points := uarchPoints(b, r)
-		if _, err := harness.Figure6(points); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7SIMDFraction computes scalar/AVX2 cycle fractions
-// against entropy.
-func BenchmarkFig7SIMDFraction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		points := uarchPoints(b, r)
-		if _, err := harness.Figure7(points); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8ISALadder times the ISA-ladder analysis.
-func BenchmarkFig8ISALadder(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		if _, _, err := r.Figure8("girl"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9GPUScatter derives the GPU S/B and Q/B scatter from
-// the VOD and Live runs on a subset of clips.
-func BenchmarkFig9GPUScatter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		vod, err := scenarioRows(r, scoring.VOD)
-		if err != nil {
-			b.Fatal(err)
-		}
-		live, err := scenarioRows(r, scoring.Live)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t := harness.Figure9(vod, live)
-		if len(t.Rows) == 0 {
-			b.Fatal("empty figure 9")
-		}
-	}
-}
-
-// scenarioRows evaluates the hardware encoders on a 4-clip subset for
-// the scatter benchmarks.
-func scenarioRows(r *harness.Runner, s scoring.Scenario) ([]harness.ScenarioRow, error) {
-	var rows []harness.ScenarioRow
-	for _, name := range []string{"desktop", "girl", "hall", "chicken"} {
-		c, err := corpus.ClipByName(name)
-		if err != nil {
-			return nil, err
-		}
-		row := harness.ScenarioRow{Clip: c, Scores: map[string]scoring.Score{}}
-		for _, encName := range []string{"NVENC", "QSV"} {
-			eng := map[string]*Encoder{"NVENC": NVENC(), "QSV": QSV()}[encName]
-			score, _, err := r.EvaluateQualityConstrained(s, c, eng, codec.RCBitrate)
-			if err != nil {
-				return nil, err
-			}
-			row.Scores[encName] = score
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// BenchmarkTable2Selection runs the corpus clustering selection.
-func BenchmarkTable2Selection(b *testing.B) {
-	model := corpus.NewModel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sel, err := model.Select(15, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sel) != 15 {
-			b.Fatal("bad selection")
-		}
-	}
-}
-
-// BenchmarkTable2Entropy measures the entropy of the vbench clips.
-func BenchmarkTable2Entropy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		if _, err := r.Table2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3VOD reproduces the VOD study (hardware encoders,
-// quality-constrained bisection) on a 4-clip subset per iteration.
-func BenchmarkTable3VOD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		if _, err := scenarioRows(r, scoring.VOD); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable4Live reproduces the Live study on the subset.
-func BenchmarkTable4Live(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		if _, err := scenarioRows(r, scoring.Live); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable5Popular reproduces the Popular study (x265/vp9
-// two-pass, quality-constrained) on two clips per iteration.
-func BenchmarkTable5Popular(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		for _, name := range []string{"presentation", "girl"} {
-			c, err := corpus.ClipByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, eng := range []*Encoder{X265(PresetSlow), VP9(PresetSlow)} {
-				if _, _, err := r.EvaluateQualityConstrained(scoring.Popular, c, eng, codec.RCTwoPass); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkEncodeMedium measures raw encoder throughput (wall clock),
-// the engine-level number the modeled speeds stand on.
-func BenchmarkEncodeMedium(b *testing.B) {
-	clip, err := corpus.ClipByName("girl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(benchScale, benchDuration)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := X264(PresetMedium)
-	b.SetBytes(seq.PixelCount())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(seq, Config{RC: RCConstQP, QP: 28}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEncodeAllocs measures heap allocations per single-clip
-// encode and enforces the checked-in budget (ALLOC_BUDGET.json), with
-// wavefront row parallelism off (serial rows) and on (4 dedicated row
-// lanes). The per-macroblock encode path is allocation-free by design
-// — level arenas, candidate recycling, and pooled reconstruction
-// frames (see DESIGN.md, "Memory management in the encode hot path")
-// — and wavefront mode reuses per-lane arenas across frames, so both
-// variants' allocs/op scale with frame count, not macroblock count. A
-// regression that reintroduces per-MB allocation overshoots the budget
-// by orders of magnitude and fails this benchmark, which CI runs with
-// -benchtime=1x as a smoke gate. The wave=on MB/s is also the
-// wavefront scoreboard: on a GOMAXPROCS≥4 host it must beat wave=off
-// (benchjson records GOMAXPROCS per result, so a 1-core CI number is
-// never mistaken for that comparison).
-func BenchmarkEncodeAllocs(b *testing.B) {
+// TestEncodeAllocBudget holds the encoder to the heap-allocation
+// budget the repository commits to (ALLOC_BUDGET.json): mallocs per
+// single-clip encode of girl @ 1/16 scale × 0.4 s, x264 medium at QP
+// 28, with wavefront row parallelism off (serial rows) and on (4
+// dedicated row lanes). The per-macroblock encode path is
+// allocation-free by design — level arenas, candidate recycling, and
+// pooled reconstruction frames (see DESIGN.md, "Memory management in
+// the encode hot path") — and wavefront mode reuses per-lane arenas
+// across frames, so both variants' allocations scale with frame count,
+// not macroblock count. A regression that reintroduces per-MB
+// allocation overshoots the budget by orders of magnitude.
+func TestEncodeAllocBudget(t *testing.T) {
 	budget, err := readAllocBudget("ALLOC_BUDGET.json")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	clip, err := corpus.ClipByName("girl")
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	seq, err := clip.Generate(benchScale, benchDuration)
+	seq, err := clip.Generate(16, 0.4)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	enc := X264(PresetMedium)
 	for _, wave := range []struct {
@@ -286,34 +39,24 @@ func BenchmarkEncodeAllocs(b *testing.B) {
 		rows int
 	}{{"off", 1}, {"on", 4}} {
 		cfg := Config{RC: RCConstQP, QP: 28, RowsParallel: wave.rows}
-		b.Run("wave="+wave.name, func(b *testing.B) {
-			// Warm the scratch pools so the measurement reflects
-			// steady state.
-			if _, err := enc.Encode(seq, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(seq.PixelCount())
-			b.ReportAllocs()
-			b.ResetTimer()
-			var ms1, ms2 runtime.MemStats
-			runtime.ReadMemStats(&ms1)
-			for i := 0; i < b.N; i++ {
+		t.Run("wave="+wave.name, func(t *testing.T) {
+			// AllocsPerRun's unmeasured first call warms the scratch
+			// pools, so the average reflects steady state.
+			perOp := testing.AllocsPerRun(3, func() {
 				if _, err := enc.Encode(seq, cfg); err != nil {
-					b.Fatal(err)
+					t.Fatal(err)
 				}
-			}
-			runtime.ReadMemStats(&ms2)
-			perOp := float64(ms2.Mallocs-ms1.Mallocs) / float64(b.N)
-			b.ReportMetric(perOp, "mallocs/op")
+			})
+			t.Logf("%.0f allocs/op (budget %d)", perOp, budget)
 			if perOp > float64(budget) {
-				b.Fatalf("encode allocations %.0f/op exceed the ALLOC_BUDGET.json budget of %d/op", perOp, budget)
+				t.Errorf("encode allocations %.0f/op exceed the ALLOC_BUDGET.json budget of %d/op", perOp, budget)
 			}
 		})
 	}
 }
 
-// readAllocBudget loads the allocation budget the repository commits
-// to (repo root, next to BENCH_harness.json).
+// readAllocBudget loads the allocation budget from ALLOC_BUDGET.json
+// at the repository root.
 func readAllocBudget(path string) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -329,296 +72,4 @@ func readAllocBudget(path string) (int64, error) {
 		return 0, fmt.Errorf("%s: encode_allocs_per_op must be positive", path)
 	}
 	return budget.EncodeAllocsPerOp, nil
-}
-
-// BenchmarkDecode measures decoder throughput.
-func BenchmarkDecode(b *testing.B) {
-	clip, err := corpus.ClipByName("girl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(benchScale, benchDuration)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := X264(PresetMedium).Encode(seq, Config{RC: RCConstQP, QP: 28})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(seq.PixelCount())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(res.Bitstream); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkUArchAnalyze measures the µarch trace simulation itself.
-func BenchmarkUArchAnalyze(b *testing.B) {
-	clip, err := corpus.ClipByName("girl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(benchScale, benchDuration)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := X264(PresetMedium).Encode(seq, Config{RC: RCConstQP, QP: 28})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uarch.Analyze(&res.Counters, uarch.Options{
-			NativeWidth: clip.Width, NativeHeight: clip.Height, SearchRange: 16,
-			ISA: perf.ISAAVX2, Seed: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSliceParallelEncode measures the wall-clock effect of
-// slice-parallel encoding (the codec's multi-core path). The speedup
-// tracks GOMAXPROCS: on a single-core machine the slices=4 run shows
-// only the (small) coordination overhead.
-func BenchmarkSliceParallelEncode(b *testing.B) {
-	clip, err := corpus.ClipByName("hall")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(8, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := X264(PresetMedium)
-	for _, slices := range []int{1, 4} {
-		b.Run(fmt.Sprintf("slices=%d", slices), func(b *testing.B) {
-			b.SetBytes(seq.PixelCount())
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(seq, Config{RC: RCConstQP, QP: 28, Slices: slices}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWavefrontEncode measures the wall-clock effect of wavefront
-// row parallelism inside a single slice (see wavefront.go): the same
-// clip encoded with serial rows and with 4 dedicated row lanes. The
-// speedup tracks GOMAXPROCS exactly like the slice fan-out; on a
-// single-core host rows=4 shows only the coordination overhead, and
-// the bitstreams are byte-identical either way.
-func BenchmarkWavefrontEncode(b *testing.B) {
-	clip, err := corpus.ClipByName("hall")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(8, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := X264(PresetMedium)
-	for _, rows := range []int{1, 4} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			b.SetBytes(seq.PixelCount())
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(seq, Config{RC: RCConstQP, QP: 28, RowsParallel: rows}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHarnessGrid measures the harness's worker-pool fan-out end
-// to end: the same full clip × encoder grid (Table 3, VOD) evaluated
-// serially (j=1) and with one worker per core (j=GOMAXPROCS). The
-// rendered table is byte-identical between the two — only the wall
-// clock changes. Per-worker busy time from Runner.PoolStats is folded
-// into a busy/wall utilization metric so both the speedup and the
-// load balance are visible in the benchmark output. Because workers
-// draw execution slots from the shared CPU gate (syncx.CPU) and busy
-// time only accrues while a slot is held, busy/wall tops out near the
-// core count however many workers are requested. On a single-core
-// host the parallel variant still runs (at j=4) but the gate admits
-// one cell at a time: expect j=4 ≈ j=1 in wall clock and busy/wall ≈
-// 1.0 for both — not the >1 utilization an ungated pool would
-// fabricate by interleaving descheduled workers.
-func BenchmarkHarnessGrid(b *testing.B) {
-	parallel := runtime.GOMAXPROCS(0)
-	if parallel < 2 {
-		parallel = 4
-	}
-	for _, j := range []int{1, parallel} {
-		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
-			var busy time.Duration
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				r := benchRunner()
-				r.Workers = j
-				if _, _, err := r.Table3(); err != nil {
-					b.Fatal(err)
-				}
-				for _, s := range r.PoolStats() {
-					busy += s.Busy
-				}
-			}
-			if wall := time.Since(start); wall > 0 {
-				b.ReportMetric(float64(busy)/float64(wall), "busy/wall")
-			}
-		})
-	}
-}
-
-// BenchmarkTelemetryOverhead measures what the observability layer
-// adds to the encoder hot path: the same encode with telemetry fully
-// disabled (the deterministic scoring configuration) and with a live
-// tracer plus per-stage clocks. The acceptance budget for "on" is
-// under 5% over "off"; "off" must match the pre-telemetry encoder
-// because the stage clocks reduce to a nil pointer check.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	clip, err := corpus.ClipByName("girl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(benchScale, benchDuration)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := X264(PresetMedium)
-	encode := func(b *testing.B) {
-		if _, err := enc.Encode(seq, Config{RC: RCConstQP, QP: 28}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("off", func(b *testing.B) {
-		b.SetBytes(seq.PixelCount())
-		for i := 0; i < b.N; i++ {
-			encode(b)
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		prev := telemetry.ActiveTracer()
-		defer func() {
-			telemetry.SetTracer(prev)
-			telemetry.EnableStages(false)
-		}()
-		telemetry.EnableStages(true)
-		b.SetBytes(seq.PixelCount())
-		for i := 0; i < b.N; i++ {
-			// Fresh tracer per iteration so the event buffer's growth
-			// does not leak across iterations.
-			telemetry.SetTracer(telemetry.NewTracer())
-			encode(b)
-		}
-	})
-}
-
-// benchCacheEntry builds one real cache entry: the "girl" clip at
-// bench scale, encoded once, measured into the cas.Outcome a store
-// would hold for it.
-func benchCacheEntry(b *testing.B) (*Encoder, *cas.Outcome, Config) {
-	b.Helper()
-	clip, err := corpus.ClipByName("girl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := clip.Generate(benchScale, benchDuration)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := X264(PresetMedium)
-	cfg := Config{RC: RCConstQP, QP: 28}
-	out, err := cas.Compute(enc, seq, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return enc, out, cfg
-}
-
-// BenchmarkCacheHit measures the two hit tiers of the content-
-// addressed transcode cache (internal/cas) against a real encoded
-// entry: "mem" is the singleflight map in front, "disk" re-reads the
-// sharded entry file and re-verifies its SHA-256 trailer on every
-// lookup (the integrity check is deliberately on the hot path). The
-// per-op throughput is the serving rate of a warm cache; compare
-// BenchmarkEncodeMedium for what each hit avoids.
-func BenchmarkCacheHit(b *testing.B) {
-	enc, out, cfg := benchCacheEntry(b)
-	key := cas.KeyParts{
-		Content:     "bench:girl",
-		Tools:       enc.Tools,
-		Config:      cfg,
-		Fingerprint: cas.Fingerprint(),
-	}.Key()
-	store, err := cas.Open(b.TempDir(), telemetry.NewRegistry())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put(key, out); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("mem", func(b *testing.B) {
-		if _, ok := store.Get(key); !ok { // promote disk -> mem once
-			b.Fatal("warmup lookup missed")
-		}
-		b.ReportAllocs()
-		b.SetBytes(out.SizeBytes())
-		for i := 0; i < b.N; i++ {
-			if _, ok := store.Get(key); !ok {
-				b.Fatal("mem tier missed")
-			}
-		}
-	})
-	b.Run("disk", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(out.SizeBytes())
-		for i := 0; i < b.N; i++ {
-			store.EvictMem()
-			if _, ok := store.Get(key); !ok {
-				b.Fatal("disk tier missed")
-			}
-		}
-	})
-}
-
-// BenchmarkCacheMiss measures the full miss path minus the encode: a
-// unique key per iteration falls through both tiers, runs the compute
-// closure (a no-op returning the prebuilt outcome, so the encode cost
-// is excluded), and persists the entry with an atomic tmp+rename
-// write. This is the overhead the cache adds to a cold run.
-func BenchmarkCacheMiss(b *testing.B) {
-	enc, out, cfg := benchCacheEntry(b)
-	store, err := cas.Open(b.TempDir(), telemetry.NewRegistry())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(out.SizeBytes())
-	for i := 0; i < b.N; i++ {
-		key := cas.KeyParts{
-			Content:     fmt.Sprintf("bench-miss:%d", i),
-			Tools:       enc.Tools,
-			Config:      cfg,
-			Fingerprint: cas.Fingerprint(),
-		}.Key()
-		if _, err := store.GetOrCompute(key, func() (*cas.Outcome, error) { return out, nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServiceSimulation measures the discrete-event service
-// simulator end to end.
-func BenchmarkServiceSimulation(b *testing.B) {
-	cfg := service.DefaultConfig()
-	cfg.Uploads = 10
-	for i := 0; i < b.N; i++ {
-		if _, err := service.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
