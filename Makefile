@@ -13,21 +13,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# vet runs under both build-tag configurations: the default build
-# (debug HTTP endpoint in) and -tags vbench_nodebug (endpoint
-# stripped), so neither bitrots.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags vbench_nodebug ./...
 
 # lint runs the project analyzers (detorder, hotalloc, leakgo,
-# lockflow, locksafe, metricname, spanpair, statemachine — see
-# docs/LINT.md) through the go vet driver so results cache per
-# package, under both build-tag configurations like vet.
+# locksafe, metricname, spanpair, statemachine — see docs/LINT.md)
+# through the go vet driver so results cache per package.
 lint:
 	$(GO) build -o bin/vbenchlint ./cmd/vbenchlint
 	$(GO) vet -vettool=$(CURDIR)/bin/vbenchlint ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/vbenchlint -tags vbench_nodebug ./...
 
 build:
 	$(GO) build ./...

@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the per-function control-flow graph the dataflow
-// analyzers (locksafe, leakgo) run over. It is deliberately
+// analyzers (locksafe, spanpair, leakgo) run over. It is deliberately
 // lightweight: blocks hold ast.Node statement lists in source order,
 // edges model structured control flow (if/for/range/switch/select,
 // break/continue/goto with labels, return, terminal panic), and
@@ -25,6 +25,9 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
+	// Cond is set when the block ends in an if condition: Succs[0] is
+	// taken when it is true, Succs[1] when it is false.
+	Cond ast.Expr
 }
 
 // CFG is the control-flow graph of one function body.
@@ -138,6 +141,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		}
 		b.cur.Nodes = append(b.cur.Nodes, s.Cond)
 		condBlk := b.cur
+		condBlk.Cond = s.Cond
 		thenBlk := b.newBlock()
 		b.edge(condBlk, thenBlk)
 		join := b.newBlock()

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -344,6 +345,93 @@ func f() {
 	}
 	if atAfter.Has("mu") {
 		t.Errorf("must-analysis claims lock held after a maybe-zero-trip loop")
+	}
+}
+
+// TestFlowEdgeNilGuard pins the if-condition successor order (true
+// branch first, then the else or join block) and the Flow edge hook on
+// the nil-guard shape spanpair relies on: a fact killed on the guard's
+// false edge and by a() on the true edge is gone at the join, and
+// survives there without the hook.
+func TestFlowEdgeNilGuard(t *testing.T) {
+	for _, tc := range []struct {
+		src                        string
+		thenLine, fLine, afterLine int
+	}{
+		{`package p
+func f(v *int) {
+	open()
+	if v != nil {
+		a()
+	}
+	after()
+}`, 5, 7, 7},
+		{`package p
+func f(v *int) {
+	open()
+	if v != nil {
+		a()
+	} else {
+		b()
+	}
+	after()
+}`, 5, 7, 9},
+	} {
+		fset, body := parseBody(t, tc.src)
+		c := BuildCFG(body)
+		var cond *Block
+		for _, b := range c.Blocks {
+			if b.Cond != nil {
+				cond = b
+			}
+		}
+		if cond == nil || len(cond.Succs) != 2 {
+			t.Fatalf("if condition block missing or not two-way: %+v", cond)
+		}
+		if !blockOnLine(fset, cond.Succs[0], tc.thenLine) || !blockOnLine(fset, cond.Succs[1], tc.fLine) {
+			t.Fatalf("successors of %q are not [then (line %d), false (line %d)]",
+				types.ExprString(cond.Cond), tc.thenLine, tc.fLine)
+		}
+		transfer := func(n ast.Node, in Set) Set {
+			call, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return in
+			}
+			switch call.X.(*ast.CallExpr).Fun.(*ast.Ident).Name {
+			case "open":
+				return in.Union(NewSet("v"))
+			case "a":
+				return in.Intersect(Set{})
+			}
+			return in
+		}
+		var edges []bool
+		guard := func(cond ast.Expr, taken bool, out Set) Set {
+			edges = append(edges, taken)
+			if taken {
+				return out
+			}
+			return out.Intersect(Set{})
+		}
+		for _, hook := range []bool{true, false} {
+			flow := &Flow{Join: May, Transfer: transfer}
+			if hook {
+				flow.Edge = guard
+			}
+			in := flow.Run(c)
+			var atAfter Set
+			flow.Replay(c, in, func(n ast.Node, state Set) {
+				if fset.Position(n.Pos()).Line == tc.afterLine {
+					atAfter = state
+				}
+			})
+			if got := atAfter.Has("v"); got == hook {
+				t.Errorf("edge hook %v: fact at after() = %v", hook, got)
+			}
+		}
+		if len(edges) != 2 || !edges[0] || edges[1] {
+			t.Errorf("edge hook saw taken = %v, want [true false]", edges)
+		}
 	}
 }
 

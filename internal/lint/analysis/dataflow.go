@@ -6,12 +6,11 @@ import (
 )
 
 // This file is the generic forward dataflow engine that runs over a
-// BuildCFG graph. Facts are sets of strings (the "held set" — held
-// mutexes for locksafe, seen cancellation signals for leakgo); the
-// lattice is the powerset with either union (may analysis) or
-// intersection (must analysis) as the join. The engine iterates to a
-// fixpoint, then analyzers replay each block with an observer to
-// report at precise nodes.
+// BuildCFG graph. Facts are sets of strings (held mutexes for
+// locksafe, open spans for spanpair); the lattice is the powerset with
+// either union (may analysis) or intersection (must analysis) as the
+// join. The engine iterates to a fixpoint, then analyzers replay each
+// block with an observer to report at precise nodes.
 
 // Set is an immutable-by-convention string set fact. Callers must
 // Clone before mutating a set they did not build.
@@ -103,6 +102,11 @@ type Flow struct {
 	// Transfer folds one CFG node into the incoming fact set and
 	// returns the outgoing one. It must not mutate in; clone first.
 	Transfer func(n ast.Node, in Set) Set
+	// Edge, when set, refines the facts leaving a block that ends in
+	// an if condition (Block.Cond); taken reports whether the edge is
+	// the one followed when the condition is true. Like Transfer, it
+	// must not mutate out.
+	Edge func(cond ast.Expr, taken bool, out Set) Set
 }
 
 // Run iterates to a fixpoint and returns the fact set at the entry of
@@ -129,7 +133,11 @@ func (f *Flow) Run(c *CFG) map[*Block]Set {
 		work = work[1:]
 		queued[b] = false
 		out := f.flowBlock(b, in[b])
-		for _, s := range b.Succs {
+		for i, s := range b.Succs {
+			out := out
+			if b.Cond != nil && f.Edge != nil {
+				out = f.Edge(b.Cond, i == 0, out)
+			}
 			cur, seen := in[s]
 			var next Set
 			if !seen {

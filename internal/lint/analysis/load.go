@@ -42,8 +42,8 @@ type listPackage struct {
 // matched non-dependency package from source, and returns them ready
 // for Run. Dependencies are imported through the compiler export
 // data the go command already produced, so loading is fast and works
-// fully offline. extraArgs are passed to go list before the patterns
-// (e.g. "-tags", "vbench_nodebug").
+// fully offline. extraArgs (such as "-tags" and a tag list) are passed
+// to go list before the patterns.
 func Load(dir string, extraArgs []string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, extraArgs...)
 	args = append(args, patterns...)

@@ -1,6 +1,8 @@
-// Package lint aggregates the project's analyzers for the
-// cmd/vbenchlint driver and the self-lint test. Each analyzer guards
-// one repository invariant; docs/LINT.md describes them in detail.
+// Package lint aggregates the project's seven analyzers (detorder,
+// hotalloc, leakgo, locksafe, metricname, spanpair, statemachine) for
+// the cmd/vbenchlint driver and the self-lint test. Each analyzer
+// guards one repository invariant; docs/LINT.md describes them in
+// detail, with the bug or contract that justifies each.
 package lint
 
 import (
@@ -8,7 +10,6 @@ import (
 	"vbench/internal/lint/detorder"
 	"vbench/internal/lint/hotalloc"
 	"vbench/internal/lint/leakgo"
-	"vbench/internal/lint/lockflow"
 	"vbench/internal/lint/locksafe"
 	"vbench/internal/lint/metricname"
 	"vbench/internal/lint/spanpair"
@@ -22,7 +23,6 @@ func Analyzers() []*analysis.Analyzer {
 		detorder.Analyzer,
 		hotalloc.Analyzer,
 		leakgo.Analyzer,
-		lockflow.Analyzer,
 		locksafe.Analyzer,
 		metricname.Analyzer,
 		spanpair.Analyzer,

@@ -1,6 +1,6 @@
 // Package locksafe guards the fleet's locking discipline with a
 // must-hold dataflow analysis over each function's CFG. It reports
-// three families of findings:
+// four families of findings:
 //
 //  1. Lock-order cycles: every acquisition of mutex B while mutex A is
 //     held contributes an A → B edge to a per-package order graph; an
@@ -25,6 +25,15 @@
 //     lock orders map mutations, never I/O — stage the write first,
 //     lock only to publish the entry.
 //
+//  4. Check-then-act on locked maps: a map read under a mutex, the
+//     mutex released, and the map later filled under the same mutex
+//     without a re-read in between. Two goroutines can both miss and
+//     both fill; the fix is the double-checked idiom or syncx.Memo.
+//     The read leaves a token in the same must-flow as the held set:
+//     the token becomes "checked" when the mutex is released, a later
+//     read under that mutex kills it, and a write while it survives
+//     on every path is the finding.
+//
 // The held set is a Must (intersection) analysis, so joins keep only
 // mutexes held on every inbound path: a lock taken in one branch of an
 // if does not poison the code after the join. A deferred Unlock keeps
@@ -32,7 +41,8 @@
 // truth the analysis cares about. The analysis is intraprocedural:
 // a callee that blocks or locks is invisible unless it is one of the
 // recognized blocking calls, so keep critical sections free of opaque
-// calls as a matter of style.
+// calls as a matter of style. Function literals are checked as
+// functions of their own, with an empty entry held set.
 package locksafe
 
 import (
@@ -49,7 +59,7 @@ import (
 // Analyzer is the locksafe pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc:  "detects lock-order cycles, self-deadlocks, and blocking operations inside mutex critical sections",
+	Doc:  "detects lock-order cycles, self-deadlocks, blocking operations inside mutex critical sections, and check-then-act fills of locked maps",
 	Run:  run,
 }
 
@@ -63,153 +73,194 @@ func run(pass *analysis.Pass) error {
 	var edges []orderEdge
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+				edges = append(edges, checkFunc(pass, fn, fd.Body)...)
 			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			edges = append(edges, checkFunc(pass, fn, fd.Body)...)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					// A literal runs on its own goroutine or call
-					// frame: fresh CFG, empty entry held set. Order
-					// edges it contributes are attributed to the
-					// enclosing declaration.
-					edges = append(edges, checkFunc(pass, fn, lit.Body)...)
-					return false
-				}
-				return true
-			})
 		}
 	}
 	reportCycles(pass, edges)
 	return nil
 }
 
+// checker carries one function body's analysis state.
+type checker struct {
+	pass *analysis.Pass
+	fn   *types.Func // order-edge facts are attributed to it
+	// writes holds every map index expression assigned to.
+	writes map[*ast.IndexExpr]bool
+	edges  []orderEdge
+}
+
+// Token kinds for check-then-act. Facts starting with '#' are never
+// mutex keys, so they stay out of held-set diagnostics.
+const (
+	readTok    = "#read\x00"    // map read in the current section of a mutex
+	checkedTok = "#checked\x00" // that section has since been released
+)
+
+func mapToken(kind, mutex, m string) string { return kind + mutex + "\x00" + m }
+
 // checkFunc runs the must-hold analysis over one function body and
-// reports intra-function findings, returning the order edges observed.
+// the function literals inside it (each with a fresh CFG and an empty
+// entry held set, order edges attributed to fn), reports
+// intra-function findings, and returns the order edges observed.
 func checkFunc(pass *analysis.Pass, fn *types.Func, body *ast.BlockStmt) []orderEdge {
-	cfg := analysis.BuildCFG(body)
-	comm := commStmts(body)
-	flow := &analysis.Flow{
-		Join: analysis.Must,
-		Transfer: func(n ast.Node, in analysis.Set) analysis.Set {
-			out := in
-			mutated := false
-			analysis.WalkNode(n, func(x ast.Node) bool {
-				if _, ok := x.(*ast.DeferStmt); ok {
-					// A deferred Unlock releases at return; the mutex
-					// stays held for the rest of the body.
-					return false
-				}
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				key, unlock, ok := lockCall(pass, call)
-				if !ok {
-					return true
-				}
-				if !mutated {
-					out = in.Clone()
-					mutated = true
-				}
-				if unlock {
-					delete(out, key)
-				} else {
-					out[key] = struct{}{}
-				}
-				return true
-			})
-			return out
-		},
-	}
-	in := flow.Run(cfg)
-
-	var edges []orderEdge
-	flow.Replay(cfg, in, func(n ast.Node, state analysis.Set) {
-		if comm[n] {
-			// A select comm statement: the select head already
-			// accounted for its blocking behaviour.
-			return
-		}
-		st := state.Clone()
-		checkBlockingNode(pass, n, st)
-		analysis.WalkNode(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.DeferStmt:
-				return false
-			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && len(st) > 0 {
-					pass.Reportf(x.Pos(), "channel receive while holding %s", heldList(st))
-				}
-			case *ast.CallExpr:
-				if key, unlock, ok := lockCall(pass, x); ok {
-					if unlock {
-						delete(st, key)
-						return true
-					}
-					if st.Has(key) {
-						pass.Reportf(x.Pos(), "mutex %s is locked again while already held (self-deadlock)", key)
-					} else {
-						for _, held := range st.Sorted() {
-							edges = append(edges, orderEdge{from: held, to: key, pos: x.Pos()})
-							pass.ExportFunctionFact(fn, "acquires %s while holding %s", key, held)
-						}
-					}
-					st[key] = struct{}{}
-					return true
-				}
-				if bn := blockingCall(pass, x); bn != "" && len(st) > 0 {
-					pass.Reportf(x.Pos(), "call to %s may block while holding %s", bn, heldList(st))
-				}
-			}
-			return true
-		})
-	})
-	return edges
-}
-
-// checkBlockingNode handles the statement-shaped blocking constructs
-// that the CFG places as whole nodes.
-func checkBlockingNode(pass *analysis.Pass, n ast.Node, st analysis.Set) {
-	if len(st) == 0 {
-		return
-	}
-	switch n := n.(type) {
-	case *ast.SendStmt:
-		pass.Reportf(n.Pos(), "channel send while holding %s", heldList(st))
-	case *ast.SelectStmt:
-		for _, c := range n.Body.List {
-			if c.(*ast.CommClause).Comm == nil {
-				return // has a default: non-blocking
-			}
-		}
-		pass.Reportf(n.Pos(), "blocking select while holding %s", heldList(st))
-	case *ast.RangeStmt:
-		if tv, ok := pass.TypesInfo.Types[n.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				pass.Reportf(n.Pos(), "range over channel while holding %s", heldList(st))
-			}
-		}
-	}
-}
-
-// commStmts indexes every select comm statement in body so the replay
-// can skip them (their receives/sends are judged at the select head).
-func commStmts(body *ast.BlockStmt) map[ast.Node]bool {
+	c := &checker{pass: pass, fn: fn, writes: map[*ast.IndexExpr]bool{}}
 	comm := map[ast.Node]bool{}
+	var lits []*ast.FuncLit
 	ast.Inspect(body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, c := range sel.Body.List {
-				if cc := c.(*ast.CommClause); cc.Comm != nil {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			lits = append(lits, n)
+			return false
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+					c.writes[ix] = true
+				}
+			}
+		case *ast.SelectStmt:
+			// Comm statements are judged at the select head.
+			for _, cl := range n.Body.List {
+				if cc := cl.(*ast.CommClause); cc.Comm != nil {
 					comm[cc.Comm] = true
 				}
 			}
 		}
 		return true
 	})
-	return comm
+	cfg := analysis.BuildCFG(body)
+	flow := &analysis.Flow{
+		Join: analysis.Must,
+		Transfer: func(n ast.Node, in analysis.Set) analysis.Set {
+			st := in.Clone()
+			c.step(n, st, false)
+			return st
+		},
+	}
+	in := flow.Run(cfg)
+	flow.Replay(cfg, in, func(n ast.Node, st analysis.Set) {
+		c.step(n, st.Clone(), !comm[n])
+	})
+	for _, lit := range lits {
+		c.edges = append(c.edges, checkFunc(pass, fn, lit.Body)...)
+	}
+	return c.edges
+}
+
+// step folds one CFG node into st, in source order. With report set
+// it also reports findings and records order edges; the transfer
+// function calls it with report unset.
+func (c *checker) step(n ast.Node, st analysis.Set, report bool) {
+	if report {
+		c.checkBlockingNode(n, st)
+	}
+	analysis.WalkNode(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.DeferStmt:
+			// A deferred Unlock releases at return; the mutex stays
+			// held for the rest of the body.
+			return false
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && report {
+				c.reportHeld(x.Pos(), st, "channel receive")
+			}
+		case *ast.IndexExpr:
+			c.mapAccess(x, st, report)
+		case *ast.CallExpr:
+			if key, unlock, ok := lockCall(c.pass, x); ok {
+				c.lock(x, key, unlock, st, report)
+			} else if bn := blockingCall(c.pass, x); bn != "" && report {
+				c.reportHeld(x.Pos(), st, "call to "+bn+" may block")
+			}
+		}
+		return true
+	})
+}
+
+// lock applies one Lock/Unlock call to st. An unlock turns the
+// mutex's read tokens into checked ones.
+func (c *checker) lock(call *ast.CallExpr, key string, unlock bool, st analysis.Set, report bool) {
+	if unlock {
+		delete(st, key)
+		prefix := mapToken(readTok, key, "")
+		for tok := range st {
+			if strings.HasPrefix(tok, prefix) {
+				delete(st, tok)
+				st[mapToken(checkedTok, key, tok[len(prefix):])] = struct{}{}
+			}
+		}
+		return
+	}
+	if report {
+		if st.Has(key) {
+			c.pass.Reportf(call.Pos(), "mutex %s is locked again while already held (self-deadlock)", key)
+		} else {
+			for _, held := range mutexes(st) {
+				c.edges = append(c.edges, orderEdge{from: held, to: key, pos: call.Pos()})
+				c.pass.ExportFunctionFact(c.fn, "acquires %s while holding %s", key, held)
+			}
+		}
+	}
+	st[key] = struct{}{}
+}
+
+// mapAccess applies a read or write of a map element to the
+// check-then-act tokens of every held mutex.
+func (c *checker) mapAccess(ix *ast.IndexExpr, st analysis.Set, report bool) {
+	tv, ok := c.pass.TypesInfo.Types[ix.X]
+	if !ok {
+		return
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return
+	}
+	m := types.ExprString(ix.X)
+	racy := false
+	for _, mu := range mutexes(st) {
+		read, checked := mapToken(readTok, mu, m), mapToken(checkedTok, mu, m)
+		if !c.writes[ix] {
+			delete(st, checked) // re-checked after reacquiring
+			st[read] = struct{}{}
+			continue
+		}
+		racy = racy || st.Has(checked)
+		delete(st, checked)
+		delete(st, read)
+	}
+	if report && racy {
+		c.pass.Reportf(ix.Pos(), "map %s is checked in one critical section and filled in a later one without re-checking (check-then-act race); re-check after locking or use syncx.Memo", m)
+	}
+}
+
+// checkBlockingNode handles the statement-shaped blocking constructs
+// that the CFG places as whole nodes.
+func (c *checker) checkBlockingNode(n ast.Node, st analysis.Set) {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		c.reportHeld(n.Pos(), st, "channel send")
+	case *ast.SelectStmt:
+		for _, cl := range n.Body.List {
+			if cl.(*ast.CommClause).Comm == nil {
+				return // has a default: non-blocking
+			}
+		}
+		c.reportHeld(n.Pos(), st, "blocking select")
+	case *ast.RangeStmt:
+		if tv, ok := c.pass.TypesInfo.Types[n.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				c.reportHeld(n.Pos(), st, "range over channel")
+			}
+		}
+	}
+}
+
+// reportHeld reports a blocking operation when any mutex is held.
+func (c *checker) reportHeld(pos token.Pos, st analysis.Set, what string) {
+	if held := mutexes(st); len(held) > 0 {
+		c.pass.Reportf(pos, "%s while holding %s", what, strings.Join(held, ", "))
+	}
 }
 
 // lockCall classifies call as a sync mutex Lock/RLock (unlock=false)
@@ -325,9 +376,16 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	return ""
 }
 
-// heldList renders the held set for a diagnostic.
-func heldList(st analysis.Set) string {
-	return strings.Join(st.Sorted(), ", ")
+// mutexes returns the held mutexes in st, sorted, without the
+// check-then-act tokens.
+func mutexes(st analysis.Set) []string {
+	var out []string
+	for _, k := range st.Sorted() {
+		if !strings.HasPrefix(k, "#") {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // reportCycles builds the package's acquisition-order graph and flags

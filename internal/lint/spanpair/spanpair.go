@@ -4,22 +4,29 @@
 // function that created it, or the Chrome trace-event export silently
 // drops the interval.
 //
-// The checker is an AST-level all-paths walk, not a full CFG: a span
-// variable is accepted when a `defer v.End()` (directly or inside a
-// deferred closure) exists, or when every branch/return sequence
-// after the creating assignment reaches `v.End()`. Nil-guard idioms
-// are understood (`if v != nil { ...; v.End() }` closes the span —
-// End is nil-safe, the guard exists for Arg calls). Variables whose
-// span escapes the function (returned, stored, or passed onward)
-// transfer ownership and are not checked. The telemetry package
-// itself (and its tests) is exempt; deliberate exceptions use
-// //lint:ignore spanpair <reason>.
+// The check is a may-open dataflow over each function's CFG. Assigning
+// a span constructor's result to a local variable opens that site;
+// v.End(), a deferred End (direct or in a deferred closure) and a call
+// that never returns close it, and a nil guard on v closes it along
+// the nil edge (End is nil-safe). A site still open at a return, at
+// the fall-through end of the function, or when control comes back
+// round a loop to the site itself is reported; break, continue and
+// goto are ordinary edges. A deferred End inside a loop counts as
+// ending the span (the intervals pile up until return: an accepted
+// intraprocedural limit).
+//
+// Spans that escape (returned, stored, or passed onward) are owned
+// elsewhere and not tracked. Dropped results and `_` assignments are
+// reported syntactically. The telemetry package and its tests are
+// exempt; deliberate exceptions use //lint:ignore spanpair <reason>.
 package spanpair
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strconv"
 	"strings"
 
 	"vbench/internal/lint/analysis"
@@ -37,158 +44,185 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		// Each function body, literals included, is its own scope.
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					checkFunc(pass, fn.Body)
+				}
+			case *ast.FuncLit:
+				checkFunc(pass, fn.Body)
 			}
-			checkFunc(pass, fd.Body)
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-// checkFunc analyzes one function body, then recurses into the
-// function literals it contains (each literal is its own span scope).
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	for _, assign := range spanAssigns(pass, body) {
-		checkAssign(pass, body, assign)
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkFunc(pass, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
-// spanAssign is one tracked span creation: obj receives the result of
-// call in statement stmt.
-type spanAssign struct {
+// site is one tracked span creation: obj receives the result of call.
+type site struct {
 	obj  types.Object
 	call *ast.CallExpr
-	stmt ast.Stmt
 }
 
-// spanAssigns collects span-creating assignments directly inside body
-// (not inside nested function literals). Dropped results are reported
+// spanSites collects the non-escaping span creations directly inside
+// body (not inside nested function literals), keyed by fact token,
+// and the tokens each assignment opens. Dropped results are reported
 // immediately.
-func spanAssigns(pass *analysis.Pass, body *ast.BlockStmt) []spanAssign {
-	var out []spanAssign
+func spanSites(pass *analysis.Pass, body *ast.BlockStmt) (map[string]site, map[ast.Node][]string) {
+	sites := map[string]site{}
+	opens := map[ast.Node][]string{}
+	var escaped map[types.Object]bool
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok && isSpanCall(pass.TypesInfo, call) {
-				pass.Reportf(call.Pos(), "result of %s is dropped; the span is never ended", callName(pass.TypesInfo, call))
+			if call, name := spanCall(pass.TypesInfo, n.X); call != nil {
+				pass.Reportf(call.Pos(), "result of %s is dropped; the span is never ended", name)
 			}
 		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, rhs := range n.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isSpanCall(pass.TypesInfo, call) {
-					continue
-				}
+			for i, rhs := range n.Rhs { // len(Lhs) >= len(Rhs), so Lhs[i] exists
+				call, name := spanCall(pass.TypesInfo, rhs)
 				id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident)
-				if !ok {
-					continue // stored into a field/element: ownership transferred
+				if call == nil || !ok {
+					continue // not a span, or stored into a field/element: ownership transferred
 				}
 				if id.Name == "_" {
-					pass.Reportf(call.Pos(), "result of %s is assigned to _; the span is never ended", callName(pass.TypesInfo, call))
+					pass.Reportf(call.Pos(), "result of %s is assigned to _; the span is never ended", name)
 					continue
 				}
-				obj := pass.TypesInfo.Defs[id]
-				if obj == nil {
-					obj = pass.TypesInfo.Uses[id]
+				if escaped == nil {
+					escaped = escapedVars(pass.TypesInfo, body)
 				}
-				if obj != nil {
-					out = append(out, spanAssign{obj: obj, call: call, stmt: n})
+				if obj := pass.TypesInfo.ObjectOf(id); obj != nil && !escaped[obj] {
+					tok := strconv.Itoa(len(sites))
+					sites[tok] = site{obj: obj, call: call}
+					opens[n] = append(opens[n], tok)
 				}
 			}
 		}
 		return true
 	})
-	return out
+	return sites, opens
 }
 
-// isSpanCall matches telemetry span constructors: functions or
-// methods of package telemetry whose name is Start* or Child and
-// whose single result has an End method.
-func isSpanCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(info, call)
-	if fn == nil || !analysis.FromPackage(fn, "telemetry") {
-		return false
-	}
-	if !strings.HasPrefix(fn.Name(), "Start") && fn.Name() != "Child" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false
-	}
-	m := types.NewMethodSet(sig.Results().At(0).Type())
-	for i := 0; i < m.Len(); i++ {
-		if m.At(i).Obj().Name() == "End" {
-			return true
-		}
-	}
-	return false
-}
-
-func callName(info *types.Info, call *ast.CallExpr) string {
-	if fn := analysis.CalleeFunc(info, call); fn != nil {
-		return fn.FullName()
-	}
-	return "span constructor"
-}
-
-// checkAssign verifies one creation site.
-func checkAssign(pass *analysis.Pass, body *ast.BlockStmt, sa spanAssign) {
-	if escapes(pass, body, sa.obj) {
+// checkFunc solves the open-span flow of one function body and
+// reports the leaks. A site that leaks around its loop gets only the
+// loop message.
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+	sites, opens := spanSites(pass, body)
+	if len(sites) == 0 {
 		return
 	}
-	if deferEnds(pass, body, sa.obj) {
-		return
-	}
-	chain, ok := findChain(body, sa.stmt)
-	if !ok {
-		return // e.g. if-init assignment: out of scope for this checker
-	}
-	c := &checker{pass: pass, obj: sa.obj}
-	ended, terminated := false, false
-	for level := len(chain) - 1; level >= 0; level-- {
-		frame := chain[level]
-		ended, terminated = c.scan(frame.list[frame.idx+1:], ended)
-		if terminated {
-			return
-		}
-		if level > 0 {
-			switch chain[level-1].list[chain[level-1].idx].(type) {
-			case *ast.ForStmt, *ast.RangeStmt:
-				// The span is re-created each iteration; it must be
-				// ended before the loop body ends.
-				if !ended {
-					pass.Reportf(sa.call.Pos(), "span %s is created inside a loop but not ended within the loop body", sa.obj.Name())
-				}
-				return
+	info := pass.TypesInfo
+	closeVar := func(st analysis.Set, obj types.Object) {
+		for tok := range st {
+			if sites[tok].obj == obj {
+				delete(st, tok)
 			}
 		}
 	}
-	if !ended {
-		pass.Reportf(sa.call.Pos(), "span %s is not ended on the fall-through return path", sa.obj.Name())
+	flow := &analysis.Flow{
+		Join: analysis.May,
+		Transfer: func(n ast.Node, in analysis.Set) analysis.Set {
+			out := in.Clone()
+			end := func(x ast.Node) bool {
+				if call, ok := x.(*ast.CallExpr); ok {
+					if obj := endedVar(info, call); obj != nil {
+						closeVar(out, obj)
+					}
+				}
+				return true
+			}
+			analysis.WalkNode(n, func(x ast.Node) bool {
+				switch x := x.(type) {
+				case *ast.ReturnStmt:
+					clear(out) // the leak is reported at the return
+					return false
+				case *ast.DeferStmt:
+					if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
+						ast.Inspect(lit.Body, end)
+					}
+				case *ast.CallExpr:
+					if isTerminalCall(info, x) {
+						clear(out)
+					}
+				}
+				return end(x)
+			})
+			for _, tok := range opens[n] {
+				out[tok] = struct{}{}
+			}
+			return out
+		},
+		Edge: func(cond ast.Expr, taken bool, out analysis.Set) analysis.Set {
+			if obj, eq := nilGuard(info, cond); obj != nil && taken == eq {
+				out = out.Clone()
+				closeVar(out, obj)
+			}
+			return out
+		},
+	}
+	cfg := analysis.BuildCFG(body)
+	in := flow.Run(cfg)
+	looped := map[string]bool{}
+	flow.Replay(cfg, in, func(n ast.Node, st analysis.Set) {
+		for _, tok := range opens[n] {
+			if st.Has(tok) {
+				looped[tok] = true
+				pass.Reportf(sites[tok].call.Pos(), "span %s is created inside a loop but not ended within the loop body", sites[tok].obj.Name())
+			}
+		}
+	})
+	flow.Replay(cfg, in, func(n ast.Node, st analysis.Set) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			named := map[string]bool{}
+			for _, tok := range st.Sorted() {
+				if name := sites[tok].obj.Name(); !looped[tok] && !named[name] {
+					named[name] = true
+					pass.Reportf(ret.Pos(), "return leaks span %s (End not called on this path)", name)
+				}
+			}
+		}
+	})
+	for _, tok := range in[cfg.Exit].Sorted() {
+		if !looped[tok] {
+			pass.Reportf(sites[tok].call.Pos(), "span %s is not ended on the fall-through return path", sites[tok].obj.Name())
+		}
 	}
 }
 
-// escapes reports whether obj's span leaves the function: returned,
-// stored, passed as an argument, aliased, or captured by a closure
-// doing any of those. Method calls on the span, nil comparisons, and
-// reassignments do not escape.
-func escapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
-	escaped := false
+// spanCall matches a call of a telemetry span constructor (a function
+// or method of package telemetry named Start* or Child whose single
+// result has an End method) and returns it with the constructor's
+// name, or nil.
+func spanCall(info *types.Info, e ast.Expr) (*ast.CallExpr, string) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nil, ""
+	}
+	fn := analysis.CalleeFunc(info, call)
+	if !analysis.FromPackage(fn, "telemetry") || !strings.HasPrefix(fn.Name(), "Start") && fn.Name() != "Child" {
+		return nil, ""
+	}
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return nil, ""
+	}
+	if end, _, _ := types.LookupFieldOrMethod(res.At(0).Type(), true, fn.Pkg(), "End"); end == nil {
+		return nil, ""
+	}
+	return call, fn.FullName()
+}
+
+// escapedVars returns the variables whose value leaves body:
+// returned, stored, passed as an argument, aliased, or captured by a
+// closure doing any of those. Such a span is owned elsewhere. Method
+// calls, nil comparisons and reassignments do not escape.
+func escapedVars(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	escaped := map[types.Object]bool{}
 	var stack []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
@@ -196,14 +230,8 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
 			return true
 		}
 		stack = append(stack, n)
-		if escaped {
-			return false
-		}
 		id, ok := n.(*ast.Ident)
-		if !ok || pass.TypesInfo.Uses[id] != obj {
-			return true
-		}
-		if len(stack) < 2 {
+		if !ok || info.Uses[id] == nil {
 			return true
 		}
 		switch parent := stack[len(stack)-2].(type) {
@@ -212,398 +240,60 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
 				return true // method call / field access on the span
 			}
 		case *ast.AssignStmt:
-			for _, lhs := range parent.Lhs {
-				if lhs == id {
-					return true // reassignment: a fresh creation site
-				}
+			if slices.Contains(parent.Lhs, ast.Expr(id)) {
+				return true // reassignment: a fresh creation site
 			}
 		case *ast.BinaryExpr:
 			if parent.Op == token.EQL || parent.Op == token.NEQ {
 				return true // nil comparison
 			}
 		}
-		escaped = true
-		return false
+		escaped[info.Uses[id]] = true
+		return true
 	})
 	return escaped
 }
 
-// deferEnds reports whether body contains `defer v.End()` or a
-// deferred closure that calls v.End().
-func deferEnds(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
-		}
-		if isEndCallExpr(pass.TypesInfo, d.Call, obj) {
-			found = true
-			return false
-		}
-		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && isEndCallExpr(pass.TypesInfo, call, obj) {
-					found = true
-				}
-				return !found
-			})
-		}
-		return !found
-	})
-	return found
-}
-
-func isEndCallExpr(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+// endedVar returns the variable v of a `v.End()` call, or nil.
+func endedVar(info *types.Info, call *ast.CallExpr) types.Object {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "End" {
-		return false
+		return nil
 	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && info.Uses[id] == obj
-}
-
-// frame is one level of the block chain from the function body down
-// to the creating statement: list[idx] contains the next level (or is
-// the assignment itself at the innermost frame).
-type frame struct {
-	list []ast.Stmt
-	idx  int
-}
-
-// findChain locates target inside body and returns the chain of
-// enclosing statement lists, outermost first. It fails when the
-// assignment is not directly inside block statement lists (e.g. an
-// if-statement init clause).
-func findChain(body *ast.BlockStmt, target ast.Stmt) ([]frame, bool) {
-	var chain []frame
-	var walk func(list []ast.Stmt) bool
-	walk = func(list []ast.Stmt) bool {
-		for i, s := range list {
-			if s == target {
-				chain = append(chain, frame{list, i})
-				return true
-			}
-			if target.Pos() < s.Pos() || target.End() > s.End() {
-				continue
-			}
-			for _, sub := range subLists(s) {
-				if walk(sub) {
-					chain = append([]frame{{list, i}}, chain...)
-					return true
-				}
-			}
-			return false // inside s but not in a plain statement list
-		}
-		return false
-	}
-	if !walk(body.List) {
-		return nil, false
-	}
-	return chain, true
-}
-
-// subLists returns the statement lists directly nested in s.
-func subLists(s ast.Stmt) [][]ast.Stmt {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return [][]ast.Stmt{s.List}
-	case *ast.IfStmt:
-		lists := [][]ast.Stmt{s.Body.List}
-		if s.Else != nil {
-			if eb, ok := s.Else.(*ast.BlockStmt); ok {
-				lists = append(lists, eb.List)
-			} else {
-				lists = append(lists, []ast.Stmt{s.Else})
-			}
-		}
-		return lists
-	case *ast.ForStmt:
-		return [][]ast.Stmt{s.Body.List}
-	case *ast.RangeStmt:
-		return [][]ast.Stmt{s.Body.List}
-	case *ast.SwitchStmt:
-		return clauseLists(s.Body)
-	case *ast.TypeSwitchStmt:
-		return clauseLists(s.Body)
-	case *ast.SelectStmt:
-		return clauseLists(s.Body)
-	case *ast.LabeledStmt:
-		return subLists(s.Stmt)
+	if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
+		return info.Uses[id]
 	}
 	return nil
 }
 
-func clauseLists(body *ast.BlockStmt) [][]ast.Stmt {
-	var lists [][]ast.Stmt
-	for _, c := range body.List {
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			lists = append(lists, c.Body)
-		case *ast.CommClause:
-			lists = append(lists, c.Body)
-		}
-	}
-	return lists
-}
-
-// checker evaluates the all-paths property for one span variable.
-type checker struct {
-	pass *analysis.Pass
-	obj  types.Object
-}
-
-// scan walks stmts in order. It returns (ended, terminated): ended
-// means every continuation past the list has the span closed;
-// terminated means no path falls out of the list (all return, panic,
-// branch away — with any leaks already reported).
-func (c *checker) scan(stmts []ast.Stmt, ended bool) (bool, bool) {
-	for _, s := range stmts {
-		if ended {
-			return true, false
-		}
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if isEndCallExpr(c.pass.TypesInfo, call, c.obj) {
-				ended = true
-			} else if isTerminalCall(c.pass.TypesInfo, call) {
-				return ended, true
-			}
-		case *ast.ReturnStmt:
-			c.pass.Reportf(s.Pos(), "return leaks span %s (End not called on this path)", c.obj.Name())
-			return ended, true
-		case *ast.BranchStmt:
-			// break/continue/goto: give up on this path without a
-			// report — the span may be handled at the jump target.
-			return ended, true
-		case *ast.DeferStmt:
-			if isEndCallExpr(c.pass.TypesInfo, s.Call, c.obj) {
-				ended = true
-			}
-		case *ast.IfStmt:
-			ended = c.scanIf(s, ended)
-			if e, ok := c.ifTerminates(s, ended); ok {
-				return e, true
-			}
-		case *ast.BlockStmt:
-			var term bool
-			ended, term = c.scan(s.List, ended)
-			if term {
-				return ended, true
-			}
-		case *ast.LabeledStmt:
-			var term bool
-			ended, term = c.scan([]ast.Stmt{s.Stmt}, ended)
-			if term {
-				return ended, true
-			}
-		case *ast.ForStmt:
-			c.scan(s.Body.List, ended)
-			if bodyEnds(c.pass.TypesInfo, s.Body, c.obj) {
-				ended = true
-			}
-		case *ast.RangeStmt:
-			c.scan(s.Body.List, ended)
-			if bodyEnds(c.pass.TypesInfo, s.Body, c.obj) {
-				ended = true
-			}
-		case *ast.SwitchStmt:
-			ended = c.scanClauses(clauseLists(s.Body), hasDefault(s.Body), ended)
-		case *ast.TypeSwitchStmt:
-			ended = c.scanClauses(clauseLists(s.Body), hasDefault(s.Body), ended)
-		case *ast.SelectStmt:
-			ended = c.scanClauses(clauseLists(s.Body), true, ended)
-		}
-	}
-	return ended, false
-}
-
-// scanIf folds an if statement into the path state, understanding
-// nil-guard idioms on the span variable.
-func (c *checker) scanIf(s *ast.IfStmt, ended bool) bool {
-	polarity := c.nilCheck(s.Cond)
-	switch polarity {
-	case nonNilGuard:
-		// Body runs only when the span is non-nil; the implicit else
-		// is the nil path, which needs no End.
-		bodyEnded, bodyTerm := c.scan(s.Body.List, ended)
-		return bodyEnded || bodyTerm
-	case nilGuard:
-		// Body is the nil path: nothing to end there, and any return
-		// inside is fine. The else (if present) is the non-nil path.
-		if eb, ok := s.Else.(*ast.BlockStmt); ok {
-			elseEnded, elseTerm := c.scan(eb.List, ended)
-			return elseEnded || elseTerm
-		}
-		return ended
-	}
-	thenEnded, thenTerm := c.scan(s.Body.List, ended)
-	if s.Else == nil {
-		return false
-	}
-	var elseEnded, elseTerm bool
-	switch e := s.Else.(type) {
-	case *ast.BlockStmt:
-		elseEnded, elseTerm = c.scan(e.List, ended)
-	default:
-		elseEnded, elseTerm = c.scan([]ast.Stmt{e}, ended)
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return true // no fall-through at all; scan() callers re-check termination
-	case thenTerm:
-		return elseEnded
-	case elseTerm:
-		return thenEnded
-	default:
-		return thenEnded && elseEnded
-	}
-}
-
-// ifTerminates reports whether no path falls through s (both branches
-// terminate), in which case scanning the remainder is moot.
-func (c *checker) ifTerminates(s *ast.IfStmt, ended bool) (bool, bool) {
-	if s.Else == nil {
-		return ended, false
-	}
-	if terminates(s.Body.List) {
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			if terminates(e.List) {
-				return ended, true
-			}
-		case *ast.IfStmt:
-			if e2, ok := c.ifTerminates(e, ended); ok {
-				return e2, true
-			}
-		}
-	}
-	return ended, false
-}
-
-// terminates is a purely syntactic check that a statement list cannot
-// fall through (last statement returns/branches/panics).
-func terminates(stmts []ast.Stmt) bool {
-	if len(stmts) == 0 {
-		return false
-	}
-	switch s := stmts[len(stmts)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-		return ok && isPanic(call)
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	}
-	return false
-}
-
-func isPanic(call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "panic"
-}
-
-// scanClauses folds switch/select clauses: the result is ended only
-// when a default exists and every clause that can fall through has
-// the span ended.
-func (c *checker) scanClauses(lists [][]ast.Stmt, exhaustive bool, ended bool) bool {
-	if !exhaustive {
-		return false
-	}
-	all := true
-	for _, list := range lists {
-		e, t := c.scan(list, ended)
-		if !e && !t {
-			all = false
-		}
-	}
-	return all
-}
-
-func hasDefault(body *ast.BlockStmt) bool {
-	for _, s := range body.List {
-		if c, ok := s.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// bodyEnds reports whether an End call for obj appears anywhere in a
-// loop body — used to avoid false positives for spans closed inside
-// the loop that created context we do not model precisely.
-func bodyEnds(info *types.Info, body *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isEndCallExpr(info, call, obj) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// nilPolarity classifies an if condition relative to the span var.
-type nilPolarity int
-
-const (
-	notNilCheck nilPolarity = iota
-	nonNilGuard             // v != nil
-	nilGuard                // v == nil
-)
-
-func (c *checker) nilCheck(cond ast.Expr) nilPolarity {
+// nilGuard matches `v == nil` (eq) and `v != nil` and returns v.
+func nilGuard(info *types.Info, cond ast.Expr) (v types.Object, eq bool) {
 	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {
-		return notNilCheck
+		return nil, false
 	}
-	var other ast.Expr
-	if id, ok := ast.Unparen(b.X).(*ast.Ident); ok && c.pass.TypesInfo.Uses[id] == c.obj {
-		other = b.Y
-	} else if id, ok := ast.Unparen(b.Y).(*ast.Ident); ok && c.pass.TypesInfo.Uses[id] == c.obj {
-		other = b.X
-	} else {
-		return notNilCheck
+	for _, side := range [2][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+		id, ok := ast.Unparen(side[0]).(*ast.Ident)
+		if tv := info.Types[side[1]]; ok && tv.IsNil() {
+			return info.Uses[id], b.Op == token.EQL
+		}
 	}
-	if tv, ok := c.pass.TypesInfo.Types[other]; !ok || !tv.IsNil() {
-		return notNilCheck
-	}
-	if b.Op == token.NEQ {
-		return nonNilGuard
-	}
-	return nilGuard
+	return nil, false
 }
 
-// isTerminalCall matches calls that never return: panic, os.Exit,
-// log.Fatal*, runtime.Goexit, and testing Fatal/Skip helpers.
+// noReturn lists, by package path, the calls that never return.
+var noReturn = map[string][]string{
+	"os":      {"Exit"},
+	"runtime": {"Goexit"},
+	"log":     {"Fatal", "Fatalf", "Fatalln"},
+	"testing": {"Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow"},
+}
+
+// isTerminalCall matches panic and the noReturn calls.
 func isTerminalCall(info *types.Info, call *ast.CallExpr) bool {
-	if isPanic(call) {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 		return true
 	}
 	fn := analysis.CalleeFunc(info, call)
-	if fn == nil {
-		return false
-	}
-	switch {
-	case analysis.FromPath(fn, "os") && fn.Name() == "Exit":
-		return true
-	case analysis.FromPath(fn, "runtime") && fn.Name() == "Goexit":
-		return true
-	case analysis.FromPath(fn, "log") && strings.HasPrefix(fn.Name(), "Fatal"):
-		return true
-	case analysis.FromPath(fn, "testing"):
-		switch fn.Name() {
-		case "Fatal", "Fatalf", "FailNow", "Skip", "Skipf", "SkipNow":
-			return true
-		}
-	}
-	return false
+	return fn != nil && fn.Pkg() != nil && slices.Contains(noReturn[fn.Pkg().Path()], fn.Name())
 }

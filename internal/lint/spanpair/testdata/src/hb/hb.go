@@ -20,6 +20,30 @@ func perBeatEnded(ticks <-chan struct{}) {
 	}
 }
 
+// skipLeak skips a failed beat with continue before ending its span:
+// that span is still open when the next beat creates another.
+func skipLeak(ticks <-chan struct{}) {
+	for range ticks {
+		sp := telemetry.StartSpan("fleet.heartbeat") // want `created inside a loop but not ended within the loop body`
+		if !push() {
+			continue
+		}
+		sp.End()
+	}
+}
+
+// breakLeak stops on a failed beat with break before ending its span:
+// that span is still open when the function falls off its end.
+func breakLeak(ticks <-chan struct{}) {
+	for range ticks {
+		sp := telemetry.StartSpan("fleet.heartbeat") // want `span sp is not ended on the fall-through return path`
+		if !push() {
+			break
+		}
+		sp.End()
+	}
+}
+
 // perBeatDeferred wraps each beat in a closure so defer fires per
 // iteration — the recommended shape: clean.
 func perBeatDeferred(ticks <-chan struct{}) {

@@ -55,11 +55,11 @@ func TestRunBasicInvariants(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(smallConfig())
+	a, err := Run(cheapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallConfig())
+	b, err := Run(cheapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPopularRetranscodesSaveEgress(t *testing.T) {
 }
 
 func TestMoreWorkersReduceQueueWait(t *testing.T) {
-	cfg := smallConfig()
+	cfg := cheapConfig()
 	cfg.Uploads = 20
 	cfg.MeanInterarrivalSeconds = 0.02 // saturate the fleet
 	cfg.Workers = 1
@@ -230,7 +230,7 @@ func TestRunTransitionLogDeterministic(t *testing.T) {
 }
 
 func TestSummaryLines(t *testing.T) {
-	stats, err := Run(smallConfig())
+	stats, err := Run(cheapConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,3 @@
-//go:build !vbench_nodebug
-
 package telemetry
 
 import (
@@ -22,8 +20,7 @@ var publishOnce sync.Once
 //	/debug/vars       expvar (includes the registry as "vbench_metrics")
 //	/debug/metrics    the registry's deterministic JSON snapshot
 //
-// It returns a shutdown function. Build with -tags vbench_nodebug to
-// compile the endpoint (and its net/http dependency) out entirely.
+// It returns a shutdown function.
 func StartDebugServer(addr string) (shutdown func() error, err error) {
 	publishOnce.Do(func() {
 		expvar.Publish("vbench_metrics", expvar.Func(func() interface{} {
