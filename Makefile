@@ -56,7 +56,7 @@ results:
 	$(GO) build -o bin/vbench ./cmd/vbench
 	bin/figures -all -scale 12 -duration 0.8 > results_full.txt
 	{ bin/figures -fig 2 -scale 12 -duration 0.8 && \
-	for s in upload platform ablation isasweep decode; do \
+	for s in upload platform ablation isasweep decode economics; do \
 		bin/vbench -scenario $$s -scale 12 -duration 0.8 || exit 1; \
 	done; } > studies_output.txt
 

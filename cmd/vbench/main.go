@@ -7,6 +7,7 @@
 //	vbench -scenario vod            # Table 3: NVENC/QSV under VOD
 //	vbench -scenario live           # Table 4: NVENC/QSV under Live
 //	vbench -scenario popular        # Table 5: x265/vp9 under Popular
+//	vbench -scenario economics      # Section 2.5: Popular-pass and retention break-even
 //	vbench -scenario all -scale 8 -duration 1
 //	vbench -scenario all -j 4       # fan the grid out over 4 workers
 //	vbench -scenarios               # print Table 1 (scoring rules)
@@ -30,7 +31,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "all", "scenario to run: upload|live|vod|popular|table2|ablation|isasweep|decode|all")
+	scenario := flag.String("scenario", "all", "scenario to run: upload|live|vod|popular|table2|ablation|isasweep|decode|economics|all")
 	scale := flag.Int("scale", 8, "linear resolution divisor (1 = paper scale)")
 	duration := flag.Float64("duration", 1.0, "clip duration in seconds (paper uses 5)")
 	verbose := flag.Bool("v", false, "print per-encode progress")
@@ -38,21 +39,12 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "benchmark-grid worker count (output is identical at any -j)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed transcode cache directory: re-runs serve unchanged encodes from disk instead of recomputing them")
-	cachePolicy := flag.String("cache-policy", "", "sweep cache retention policies over a simulated popularity-driven request stream instead of running scenarios: \"default\" or \"keep-all,lru:<bytes>,cost-aware\"")
-	cacheRequests := flag.Int("cache-requests", 200000, "request-stream length for -cache-policy")
-	cacheSeed := flag.Int64("cache-seed", 1, "request-stream seed for -cache-policy")
 	var topts telemetry.Options
 	topts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *listScenarios {
 		printTable1()
-		return
-	}
-	if *cachePolicy != "" {
-		if err := runPolicySweep(*cachePolicy, *cacheRequests, *cacheSeed, *csv); err != nil {
-			fatal(err)
-		}
 		return
 	}
 
@@ -137,6 +129,12 @@ func main() {
 			emit(t)
 		case "decode":
 			t, err := r.DecodeStudy()
+			if err != nil {
+				fatal(err)
+			}
+			emit(t)
+		case "economics":
+			t, err := r.EconomicsStudy()
 			if err != nil {
 				fatal(err)
 			}

@@ -8,8 +8,8 @@
 // The scheduler core is clock-abstracted: cmd/vbenchd drives the
 // Queue with a wall clock over net/http, and the discrete-event Sim
 // in this package drives the identical Queue code with a simulated
-// clock, making it the deterministic twin used by tests and by the
-// internal/service fleet economics simulator.
+// clock, making it the deterministic twin the tests run the scheduler
+// on.
 package fleet
 
 import (
@@ -69,9 +69,8 @@ var validEdge = [numStates][numStates]bool{
 }
 
 // Job kinds understood by the vbenchd worker. The queue itself is
-// payload-agnostic: any Kind round-trips through it, so embedders
-// (internal/service) can schedule their own job types on the same
-// state machine.
+// payload-agnostic: any Kind round-trips through it, so embedders can
+// schedule their own job types on the same state machine.
 const (
 	KindEncode = "encode" // a real internal/codec transcode
 	KindNoop   = "noop"   // sleeps SleepMS; used by tests and smoke runs

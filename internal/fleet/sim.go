@@ -58,12 +58,11 @@ type Sim struct {
 	// Q is the scheduler core under simulation.
 	Q *Queue
 
-	events  eventHeap
-	seq     int
-	idle    []bool
-	dead    []bool
-	onDone  map[int]func(*Sim, Job)
-	onLease func(j Job, waitSeconds float64)
+	events eventHeap
+	seq    int
+	idle   []bool
+	dead   []bool
+	onDone map[int]func(*Sim, Job)
 
 	hasWake bool
 	wakeAt  time.Time
@@ -99,14 +98,10 @@ func NewSim(cfg SimConfig) *Sim {
 	return s
 }
 
-// OnLease installs a hook observing every lease with its queue wait
-// (seconds from ready to lease).
-func (s *Sim) OnLease(fn func(j Job, waitSeconds float64)) { s.onLease = fn }
-
 // SubmitAt schedules a job submission at the given offset from the
 // simulation start. onDone (optional) fires when the job's completion
 // is applied; it may submit follow-on jobs via SubmitNow, which is
-// how dependent passes (upload → VOD → popular) chain.
+// how dependent jobs chain.
 func (s *Sim) SubmitAt(offset time.Duration, spec JobSpec, onDone func(*Sim, Job)) {
 	s.push(simEvent{at: s.start.Add(offset), kind: evSubmit, spec: spec, onDone: onDone})
 }
@@ -119,9 +114,6 @@ func (s *Sim) SubmitNow(spec JobSpec, onDone func(*Sim, Job)) {
 
 // Now returns the current simulated time.
 func (s *Sim) Now() time.Time { return s.clock.Now() }
-
-// ElapsedSeconds is the simulated makespan so far.
-func (s *Sim) ElapsedSeconds() float64 { return s.clock.Now().Sub(s.start).Seconds() }
 
 // BusySeconds is the summed execution time of every attempt that ran
 // to a report (crashed attempts contribute nothing).
@@ -220,9 +212,6 @@ func (s *Sim) dispatch() {
 		s.totalWait += wait
 		if wait > s.maxWait {
 			s.maxWait = wait
-		}
-		if s.onLease != nil {
-			s.onLease(j, wait)
 		}
 		secs, outcome, res := 0.0, OutcomeDone, Result{}
 		if s.cfg.Model != nil {

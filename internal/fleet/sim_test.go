@@ -169,8 +169,8 @@ func TestSimTerminalFailureNoRetry(t *testing.T) {
 
 func TestSimChainedSubmission(t *testing.T) {
 	// Dependent passes chain through completion callbacks: each "upload"
-	// submits its "vod" job on completion — the shape internal/service
-	// uses for upload → VOD → popular.
+	// submits its "vod" job on completion, the shape of an upload →
+	// VOD → popular transcode pipeline.
 	var chained []int
 	s := NewSim(SimConfig{Workers: 2, Queue: simOptions()})
 	for i := 0; i < 3; i++ {

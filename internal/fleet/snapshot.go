@@ -80,7 +80,12 @@ func Restore(r io.Reader, opt Options) (*Queue, error) {
 		case Pending:
 			if j.DedupOf != 0 {
 				// A parked dedup follower: it re-parks behind its
-				// leader instead of re-entering the ready heap.
+				// leader instead of re-entering the ready heap. Only
+				// a leader still in flight ever settles it, so any
+				// other parent would leave it pending forever.
+				if !inFlightLeader(q.jobs[:i], j.DedupOf) {
+					return nil, fmt.Errorf("fleet: snapshot job %d is parked behind job %d, which is not an earlier in-flight leader", j.ID, j.DedupOf)
+				}
 				q.followers[j.DedupOf] = append(q.followers[j.DedupOf], j.ID)
 				break
 			}
@@ -126,4 +131,15 @@ func Restore(r io.Reader, opt Options) (*Queue, error) {
 	q.gFailed.Set(float64(q.stats.Failed))
 	q.gDepth.Set(float64(q.stats.Pending + q.stats.Leased))
 	return q, nil
+}
+
+// inFlightLeader reports whether id names one of the earlier jobs that
+// can still settle its dedup followers: leased, or pending and not
+// itself parked behind another job.
+func inFlightLeader(earlier []*Job, id int) bool {
+	if id < 1 || id > len(earlier) {
+		return false
+	}
+	l := earlier[id-1]
+	return l.State == Leased || (l.State == Pending && l.DedupOf == 0)
 }

@@ -111,6 +111,17 @@ func runAtWorkers(t *testing.T, workers int) string {
 		t.Fatal(err)
 	}
 	sb.WriteString(tab2.String())
+
+	// The Popular encodes are x265 veryslow's exhaustive search, the
+	// costliest cell in the tree under -race; a coarser Runner keeps
+	// the table's determinism pinned at a fraction of the time.
+	er := NewRunner(32, 0.1)
+	er.Workers = workers
+	econ, err := er.EconomicsStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString(econ.String())
 	return sb.String()
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"vbench/internal/codec"
 	"vbench/internal/codec/hw"
@@ -252,3 +253,161 @@ func (r *Runner) ISASweepStudy() (*tables.Table, error) {
 }
 
 func pow(x, y float64) float64 { return math.Pow(x, y) }
+
+// Prices and catalogue of the economics study. They are constants,
+// not flags: the table answers one question at one stated price point.
+const (
+	// Object storage, standard tier (public-cloud list price).
+	storageUSDPerGBMonth = 0.02
+	// On-demand compute (public-cloud list price per vCPU-hour).
+	cpuUSDPerHour = 0.05
+	// CDN egress (public-cloud list price at the highest-volume tier).
+	egressUSDPerGB = 0.02
+	// Catalogue the break-even thresholds are read against as ranks:
+	// ten requests per video per day, a video-sharing site's order of
+	// magnitude.
+	econVideos         = 1_000_000
+	econRequestsPerDay = 10_000_000
+)
+
+// prices are the three unit costs the economics study trades.
+type prices struct {
+	cpuPerSecond, storagePerByteSecond, egressPerByte float64
+}
+
+var listPrices = prices{
+	cpuPerSecond:         cpuUSDPerHour / 3600,
+	storagePerByteSecond: storageUSDPerGBMonth / 1e9 / (30 * 24 * 3600),
+	egressPerByte:        egressUSDPerGB / 1e9,
+}
+
+// rendition is one stored copy of a clip per second of video at the
+// clip's native resolution.
+type rendition struct {
+	bytes, cpuSeconds, psnr float64
+}
+
+// nativeRendition undoes the per-pixel normalisation of a measurement
+// at the clip's native size: B bits/pixel/s is B·W·H/8 bytes per
+// second, and S Mpixel/s spends W·H·fps/(S·10⁶) CPU-seconds per second.
+func nativeRendition(c corpus.Clip, m scoring.Measurement) rendition {
+	px := float64(c.Width * c.Height)
+	return rendition{bytes: m.BitratePPS * px / 8, cpuSeconds: px * c.FrameRate / (m.SpeedMPS * 1e6), psnr: m.PSNR}
+}
+
+// breakEven prices the two decisions the economics study tabulates.
+// views is how many playbacks the Popular re-transcode needs before
+// its egress saving repays its compute; ok is false when the Popular
+// copy is not smaller at no worse PSNR, so it never repays. evictAfter
+// is the request interval in seconds past which storing the VOD copy
+// costs more than re-transcoding it on the next request.
+func (p prices) breakEven(vod, pop rendition) (views float64, ok bool, evictAfter float64) {
+	evictAfter = vod.cpuSeconds * p.cpuPerSecond / (vod.bytes * p.storagePerByteSecond)
+	saved := vod.bytes - pop.bytes
+	if saved <= 0 || pop.psnr < vod.psnr {
+		return 0, false, evictAfter
+	}
+	return pop.cpuSeconds * p.cpuPerSecond / (saved * p.egressPerByte), true, evictAfter
+}
+
+// EconomicsStudy prices the Section 2.5 trade per clip from the
+// encodes' own modelled seconds: keep the VOD rendition, re-transcode
+// it once at Popular effort (x265 veryslow, two-pass at the same
+// target bitrate) to cut egress, or evict it and re-transcode on
+// demand. Both break-even thresholds are closed-form (breakEven).
+func (r *Runner) EconomicsStudy() (*tables.Table, error) {
+	clips := corpus.VBenchClips()
+	type cell struct{ vod, pop rendition }
+	cells := make([]cell, len(clips))
+	err := r.pool().ForEach(len(clips), func(i int) error {
+		c := clips[i]
+		vod, err := r.Reference(scoring.VOD, c)
+		if err != nil {
+			return err
+		}
+		seq, err := r.Sequence(c)
+		if err != nil {
+			return err
+		}
+		target, err := r.TargetBitrate(c)
+		if err != nil {
+			return err
+		}
+		pop, err := r.Measure(profiles.X265(codec.PresetVerySlow), seq, codec.Config{RC: codec.RCTwoPass, BitrateBPS: target})
+		if err != nil {
+			return fmt.Errorf("economics %s: %w", c.Name, err)
+		}
+		cells[i] = cell{nativeRendition(c, vod.Measurement), nativeRendition(c, pop.Measurement)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t := tables.New("Economics: Popular re-transcode and retention break-even, per second of native video",
+		"clip", "VOD KB", "VOD CPU-s", "Pop KB", "Pop CPU-s", "Pop dPSNR", "Pop pays after views", "evict if idle > days")
+	daily := dailyRequests()
+	popRanks, keepRanks := newRankRange(), newRankRange()
+	for i, c := range clips {
+		vod, pop := cells[i].vod, cells[i].pop
+		views, ok, evictAfter := listPrices.breakEven(vod, pop)
+		viewsCell := "—"
+		if ok {
+			viewsCell = tables.FormatFloat(views)
+			popRanks.add(deepestRank(daily, views), c.Name)
+		}
+		keepRanks.add(deepestRank(daily, 86400/evictAfter), c.Name)
+		t.AddRowf(c.Name, vod.bytes/1e3, vod.cpuSeconds, pop.bytes/1e3, pop.cpuSeconds, pop.psnr-vod.psnr, viewsCell, evictAfter/86400)
+	}
+	t.AddNote("$%.2f/CPU-h, $%.2f/GB-month stored, $%.2f/GB egress; Pop = x265 veryslow two-pass at the VOD target, valid only if smaller at no worse PSNR",
+		cpuUSDPerHour, storageUSDPerGBMonth, egressUSDPerGB)
+	t.AddNote("as ranks of %d videos at %d requests/day (DefaultPopularity): the Popular pass repays within a day down to rank %s; keeping the VOD copy beats eviction down to rank %s",
+		econVideos, econRequestsPerDay, popRanks, keepRanks)
+	return t, nil
+}
+
+// dailyRequests returns the requests per day of every rank of the
+// economics catalogue under corpus.DefaultPopularity, most popular
+// first (non-increasing).
+func dailyRequests() []float64 {
+	m := corpus.DefaultPopularity()
+	daily := make([]float64, econVideos)
+	var total float64
+	for i := range daily {
+		daily[i] = m.Weight(i + 1)
+		total += daily[i]
+	}
+	for i := range daily {
+		daily[i] *= econRequestsPerDay / total
+	}
+	return daily
+}
+
+// deepestRank returns the deepest rank whose daily requests reach
+// perDay (0 if even rank 1 falls short).
+func deepestRank(daily []float64, perDay float64) int {
+	return sort.Search(len(daily), func(i int) bool { return daily[i] < perDay })
+}
+
+// rankRange is the span of deepestRank over clips, for the table note.
+type rankRange struct {
+	lo, hi         int
+	loClip, hiClip string
+}
+
+func newRankRange() *rankRange { return &rankRange{lo: math.MaxInt} }
+
+func (g *rankRange) add(rank int, clip string) {
+	if rank < g.lo {
+		g.lo, g.loClip = rank, clip
+	}
+	if rank > g.hi {
+		g.hi, g.hiClip = rank, clip
+	}
+}
+
+func (g *rankRange) String() string {
+	if g.hiClip == "" {
+		return "none"
+	}
+	return fmt.Sprintf("%d (%s) to %d (%s)", g.lo, g.loClip, g.hi, g.hiClip)
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -78,16 +79,17 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// Render writes the aligned table to w.
+// Render writes the aligned table to w. Columns align by rune count,
+// so a non-ASCII cell such as "—" keeps its column straight.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -104,7 +106,7 @@ func (t *Table) Render(w io.Writer) error {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		b.WriteByte('\n')
 	}
