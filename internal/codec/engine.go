@@ -425,15 +425,24 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 			video.PutFrame(r)
 		}
 	}
-	var candAllocs, levelOverflows, sadEarlyExits int64
+	var candAllocs, levelOverflows, sadEarlyExits, revisitsSkipped int64
+	tally := func(sc *encScratch) {
+		candAllocs += sc.cands.fresh
+		levelOverflows += sc.levels.overflows
+		sadEarlyExits += sc.motion.SADEarlyExits
+		revisitsSkipped += sc.motion.RevisitsSkipped
+	}
 	for s := range scratches {
-		candAllocs += scratches[s].cands.fresh
-		levelOverflows += scratches[s].levels.overflows
-		sadEarlyExits += scratches[s].motion.SADEarlyExits
+		tally(&scratches[s])
+		// Wavefront decisions run on the lanes' own scratch.
+		for l := range waveLanes[s] {
+			tally(&waveLanes[s][l].enc)
+		}
 	}
 	obsCandAllocs.Add(candAllocs)
 	obsLevelOverflows.Add(levelOverflows)
 	obsKernSADEarlyExits.Add(sadEarlyExits)
+	obsKernRevisitsSkipped.Add(revisitsSkipped)
 
 	res.Bitstream = out
 	if e.Model != nil {
@@ -764,9 +773,10 @@ func (fe *frameEncoder) decideInterMB(mbx, mby, px, py, qp, qpDelta int) *mbCand
 		fe.sc.motion.SADEarlyExits++
 	}
 	fe.c.DataDepBranches++
-	var skipCand *mbCand
+	var skipCand, trial *mbCand
+	var work interWork
 	if skipSAD <= skipThresh {
-		skipCand = fe.buildSkipCand(px, py, predMV, qp)
+		skipCand, trial = fe.buildSkipCand(px, py, predMV, qp, qpDelta, &work)
 	}
 	if skipCand != nil && !t.RDMode {
 		return skipCand
@@ -800,9 +810,21 @@ func (fe *frameEncoder) decideInterMB(mbx, mby, px, py, qp, qpDelta int) *mbCand
 	}
 
 	// 3. Intra-vs-inter decision by SATD heuristic (or full RD below).
-	interCand := fe.buildInterCand(px, py, bestMV, bestRef, false, qp, qpDelta)
+	// When the search lands on the failed skip trial's vector, the
+	// trial is the inter candidate: bill its work a second time so the
+	// counters match a rebuild.
+	var interCand *mbCand
+	if trial != nil && bestRef == 0 && bestMV == predMV {
+		fe.c.Add(&work.all)
+		interCand = trial
+	} else {
+		if trial != nil {
+			fe.sc.cands.put(trial)
+		}
+		interCand = fe.buildInterCand(px, py, bestMV, bestRef, qp, qpDelta, &work)
+	}
 	if t.Transform8x8 {
-		cand8 := fe.buildInterCand(px, py, bestMV, bestRef, true, qp, qpDelta)
+		cand8 := fe.buildInterCand8(px, py, interCand, &work)
 		interCand = fe.pickByRD(px, py, interCand, cand8)
 	}
 
@@ -915,12 +937,13 @@ func (fe *frameEncoder) lumaResidual(px, py int, pred []uint8, out []int32) {
 	}
 }
 
-// buildSkipCand returns a skip candidate (prediction at predMV from
-// ref 0 with zero residual) if the whole macroblock quantizes to
-// zero; nil otherwise.
-func (fe *frameEncoder) buildSkipCand(px, py int, predMV motion.MV, qp int) *mbCand {
-	cand := fe.buildInterCand(px, py, predMV, 0, false, qp, 0)
-	cand.qp = fe.qpBase // skip MBs carry no QP delta
+// buildSkipCand codes the inter candidate at predMV from ref 0 with
+// the 4×4 transform. If the whole macroblock quantizes to zero it
+// returns that candidate relabelled as a skip. Otherwise it returns
+// the coded trial, exactly as buildInterCand builds it, with its work
+// in w, so the caller can reuse the trial instead of rebuilding it.
+func (fe *frameEncoder) buildSkipCand(px, py int, predMV motion.MV, qp, qpDelta int, w *interWork) (skip, trial *mbCand) {
+	cand := fe.buildInterCand(px, py, predMV, 0, qp, qpDelta, w)
 	coded := false
 	for _, blk := range cand.lumaLevels {
 		if blk != nil {
@@ -935,11 +958,11 @@ func (fe *frameEncoder) buildSkipCand(px, py int, predMV motion.MV, qp int) *mbC
 		}
 	}
 	if coded {
-		fe.sc.cands.put(cand)
-		return nil
+		return nil, cand
 	}
 	cand.mode = mbSkip
-	return cand
+	cand.qp, cand.qpDelta = fe.qpBase, 0 // skip MBs carry no QP delta
+	return cand, nil
 }
 
 // mcLuma produces the luma motion-compensated prediction using the
@@ -954,22 +977,28 @@ func mcLuma(hdr *seqHeader, dst []uint8, ref motion.Plane, px, py int, mv motion
 	c.Count(perf.KInterp, MBSize*MBSize)
 }
 
-// buildInterCand constructs a fully reconstructed inter candidate.
-func (fe *frameEncoder) buildInterCand(px, py int, mv motion.MV, ref int, tx8 bool, qp, qpDelta int) *mbCand {
+// interWork is the work building one inter candidate billed, in total
+// and for its chroma alone. Reusing the candidate in place of a
+// rebuild bills all again; its 8×8-transform twin, which takes its
+// chroma, bills chroma again. Either way the counters end exactly
+// where a rebuild would leave them.
+type interWork struct {
+	all, chroma perf.Counters
+}
+
+// buildInterCand constructs a fully reconstructed inter candidate with
+// the 4×4 luma transform and writes the work it billed to w.
+func (fe *frameEncoder) buildInterCand(px, py int, mv motion.MV, ref int, qp, qpDelta int, w *interWork) *mbCand {
 	t := &fe.eng.Tools
+	start := *fe.c
 	cand := fe.sc.cands.get()
 	// Whole-struct assignment resets every recycled field (levels,
 	// modes, recon), making a pooled candidate indistinguishable from
 	// a fresh allocation.
-	*cand = mbCand{mode: mbInter, mv: mv, ref: ref, tx8: tx8, qp: qp, qpDelta: qpDelta}
+	*cand = mbCand{mode: mbInter, mv: mv, ref: ref, qp: qp, qpDelta: qpDelta}
+	fe.codeInterLuma(cand, px, py)
 
-	var pred [MBSize * MBSize]uint8
-	mcLuma(fe.hdr, pred[:], lumaPlane(fe.refs[ref]), px, py, mv, &fe.sc.motion, fe.c)
-
-	var resid [MBSize * MBSize]int32
-	fe.lumaResidual(px, py, pred[:], resid[:])
-	fe.codeLuma(cand, pred[:], resid[:], transform.DeadZoneInter, t.Trellis)
-
+	chroma := *fe.c
 	var cpred [64]uint8
 	var cres [64]int32
 	for p := 0; p < 2; p++ {
@@ -978,7 +1007,34 @@ func (fe *frameEncoder) buildInterCand(px, py int, mv motion.MV, ref int, tx8 bo
 		fe.chromaResidual(px, py, p, cpred[:], cres[:])
 		fe.codeChroma(cand, p, cpred[:], cres[:], transform.DeadZoneInter, t.Trellis)
 	}
+	w.chroma = *fe.c
+	w.chroma.Sub(&chroma)
+	w.all = *fe.c
+	w.all.Sub(&start)
 	return cand
+}
+
+// buildInterCand8 constructs the 8×8-transform twin of the inter
+// candidate c, whose build billed w. Chroma coding does not depend on
+// the luma transform size, so the twin shares c's chroma levels and
+// reconstruction and bills w.chroma again; only the luma is coded.
+func (fe *frameEncoder) buildInterCand8(px, py int, c *mbCand, w *interWork) *mbCand {
+	cand := fe.sc.cands.get()
+	*cand = mbCand{mode: mbInter, mv: c.mv, ref: c.ref, tx8: true, qp: c.qp, qpDelta: c.qpDelta,
+		chromaLevels: c.chromaLevels, chromaRecon: c.chromaRecon}
+	fe.codeInterLuma(cand, px, py)
+	fe.c.Add(&w.chroma)
+	return cand
+}
+
+// codeInterLuma predicts and codes the luma of an inter candidate at
+// its vector, reference and transform size.
+func (fe *frameEncoder) codeInterLuma(cand *mbCand, px, py int) {
+	var pred [MBSize * MBSize]uint8
+	mcLuma(fe.hdr, pred[:], lumaPlane(fe.refs[cand.ref]), px, py, cand.mv, &fe.sc.motion, fe.c)
+	var resid [MBSize * MBSize]int32
+	fe.lumaResidual(px, py, pred[:], resid[:])
+	fe.codeLuma(cand, pred[:], resid[:], transform.DeadZoneInter, fe.eng.Tools.Trellis)
 }
 
 // buildIntraCand constructs a fully reconstructed intra candidate.

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -11,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"vbench/internal/perf"
 	"vbench/internal/video"
 )
 
@@ -30,11 +32,15 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_di
 
 const goldenPath = "testdata/golden_digests.json"
 
-// goldenDigest records the SHA-256 of an encode's bitstream and of its
-// reconstruction planes (all frames, Y then Cb then Cr, concatenated).
+// goldenDigest records the SHA-256 of an encode's bitstream, of its
+// reconstruction planes (all frames, Y then Cb then Cr, concatenated)
+// and of its perf.Counters. The counter digest pins the nominal work
+// accounting: an optimization that skips repeated work must still bill
+// it, or every modeled speed downstream moves.
 type goldenDigest struct {
 	Bitstream string `json:"bitstream"`
 	Recon     string `json:"recon"`
+	Counters  string `json:"counters"`
 }
 
 // goldenCase is one cell of the matrix.
@@ -122,6 +128,15 @@ func reconDigest(seq *video.Sequence) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// countersDigest hashes every counter field in declaration order.
+func countersDigest(c *perf.Counters) string {
+	h := sha256.New()
+	if err := binary.Write(h, binary.LittleEndian, c); err != nil {
+		panic(err) // perf.Counters is all fixed-size integers
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func bitstreamDigest(bs []byte) string {
 	sum := sha256.Sum256(bs)
 	return hex.EncodeToString(sum[:])
@@ -158,6 +173,7 @@ func TestGoldenDigests(t *testing.T) {
 			d := goldenDigest{
 				Bitstream: bitstreamDigest(res.Bitstream),
 				Recon:     reconDigest(res.Recon),
+				Counters:  countersDigest(&res.Counters),
 			}
 			got[gc.name] = d
 
@@ -189,6 +205,9 @@ func TestGoldenDigests(t *testing.T) {
 				if rd := reconDigest(wres.Recon); rd != d.Recon {
 					t.Errorf("rows-parallel=%d recon digest %s != serial %s", rp, rd, d.Recon)
 				}
+				if cd := countersDigest(&wres.Counters); cd != d.Counters {
+					t.Errorf("rows-parallel=%d counters digest %s != serial %s", rp, cd, d.Counters)
+				}
 			}
 
 			if !*updateGolden {
@@ -197,8 +216,8 @@ func TestGoldenDigests(t *testing.T) {
 					t.Fatalf("no committed digest for %q (run -update-golden and review)", gc.name)
 				}
 				if w != d {
-					t.Errorf("digest mismatch:\n  bitstream got %s want %s\n  recon     got %s want %s",
-						d.Bitstream, w.Bitstream, d.Recon, w.Recon)
+					t.Errorf("digest mismatch:\n  bitstream got %s want %s\n  recon     got %s want %s\n  counters  got %s want %s",
+						d.Bitstream, w.Bitstream, d.Recon, w.Recon, d.Counters, w.Counters)
 				}
 			}
 		})
@@ -221,5 +240,79 @@ func TestGoldenDigests(t *testing.T) {
 		t.Logf("wrote %d digests to %s", len(got), goldenPath)
 	} else if len(want) != len(got) {
 		t.Errorf("committed digest count %d != case count %d (stale file?)", len(want), len(got))
+	}
+}
+
+// flickerSequence is a static gradient whose odd frames carry a small
+// bright patch in every macroblock, so each even P frame matches its
+// second reference exactly and its first one nearly: the skip trial on
+// reference 0 is coded, and a multi-reference search then picks
+// reference 1 at the predicted vector.
+func flickerSequence() *video.Sequence {
+	const w, h = 64, 48
+	seq := &video.Sequence{FrameRate: 30}
+	for i := 0; i < 8; i++ {
+		f := video.NewFrame(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				f.Y[y*w+x] = uint8(60 + x + y)
+			}
+		}
+		for j := range f.Cb {
+			f.Cb[j], f.Cr[j] = 128, 128
+		}
+		if i%2 == 1 {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if y%16/4 == 1 && x%16/4 == 1 {
+						f.Y[y*w+x] += 24
+					}
+				}
+			}
+		}
+		seq.Frames = append(seq.Frames, f)
+	}
+	return seq
+}
+
+// TestGoldenFlickerMultiRef pins the flicker clip's encodes at one to
+// three references (digests taken from the encoder before it reused
+// skip trials). The encoder reuses a coded skip trial as the inter
+// candidate only when the search returns that trial's vector on
+// reference 0; this clip is where the search returns the same vector
+// on another reference, which the main matrix never reaches.
+func TestGoldenFlickerMultiRef(t *testing.T) {
+	want := map[Preset]goldenDigest{
+		PresetMedium: {
+			Bitstream: "e9b723c2893c03d6c8ef9bb6365e0ac09c551b72c965e0ff84d3162c65fd6ddf",
+			Recon:     "1c42844b8be83c727e0aa1eb5daec4acc44d0f551840c1476a0491413fe68656",
+			Counters:  "e137786946d6dbe134d4c9e4a3439dc2dfbaaf26123d01caafa5cb892fde12f1",
+		},
+		PresetSlow: {
+			Bitstream: "cb5175aec9eacffa519b2214ddb1bba5b89ed5a8f8de8fa079133c2b6961a283",
+			Recon:     "2b26998a96d4999e663af043dcd58833c5dbfc2feb3be51761b73e4f264e2ed8",
+			Counters:  "63a3cd76e5e8c5709cb43294e6f027df84f1b8abf8fd89bcd3001bdb1908b85e",
+		},
+		PresetVerySlow: {
+			Bitstream: "9e042f1b2a0c73bf792bacfe3a7b2bd0b453d2eb27299193d8201d0a2864dca0",
+			Recon:     "f9bb6ddf97a247c6dfb6f592abc14494f77ab8a91626ebc9a1303d818e2c0aa6",
+			Counters:  "8e53a6d7f53eb4d9e4c4a8e4b79cd2607e745fbb9f7ad7fc200d458f85e6843a",
+		},
+	}
+	seq := flickerSequence()
+	for _, pr := range []Preset{PresetMedium, PresetSlow, PresetVerySlow} {
+		eng := &Engine{Tools: BaselineTools(pr)}
+		res, err := eng.Encode(seq, Config{RC: RCConstQP, QP: 24})
+		if err != nil {
+			t.Fatalf("%v: %v", pr, err)
+		}
+		got := goldenDigest{
+			Bitstream: bitstreamDigest(res.Bitstream),
+			Recon:     reconDigest(res.Recon),
+			Counters:  countersDigest(&res.Counters),
+		}
+		if got != want[pr] {
+			t.Errorf("%v: digest mismatch:\n  got  %+v\n  want %+v", pr, got, want[pr])
+		}
 	}
 }

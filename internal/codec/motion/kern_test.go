@@ -410,3 +410,100 @@ func FuzzPredictEdge(f *testing.F) {
 		checkEdgeCase(t, cur, ref, int(bx)%(cur.W-bs+1), int(by)%(cur.H-bs+1), MV{mvx, mvy}, bs, thresh)
 	})
 }
+
+// smoothPlane samples a low-frequency texture at (x−dx, y−dy). Its SAD
+// surface leads a pattern search across many steps, so long walks,
+// ring overlaps and revisits all occur.
+func smoothPlane(w, h, dx, dy int, fx, fy, phase float64) Plane {
+	pix := make([]uint8, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := 128 + 60*math.Sin(float64(x-dx)/fx+phase) + 50*math.Cos(float64(y-dy)/fy-phase)
+			pix[y*w+x] = uint8(v)
+		}
+	}
+	return Plane{Pix: pix, W: w, H: h}
+}
+
+// checkSearch runs Search and searchRef on one input and fails on any
+// difference in vector, cost or perf.Counters. It returns the number
+// of candidates Search skipped as revisits.
+func checkSearch(t *testing.T, cur Plane, bx, by int, ref Plane, pred MV, bs int, p Params) int64 {
+	t.Helper()
+	var cGot, cWant perf.Counters
+	var sc Scratch
+	gotMV, gotCost := Search(cur, bx, by, ref, pred, bs, bs, p, &sc, &cGot)
+	wantMV, wantCost := searchRef(cur, bx, by, ref, pred, bs, bs, p, &cWant)
+	if gotMV != wantMV || gotCost != wantCost {
+		t.Fatalf("Search %v range=%d subpel=%d λ=%d %dx%d at (%d,%d) pred=%v, ref %dx%d: got %v/%d want %v/%d",
+			p.Kind, p.Range, p.SubPel, p.Lambda, bs, bs, bx, by, pred, ref.W, ref.H, gotMV, gotCost, wantMV, wantCost)
+	}
+	if cGot != cWant {
+		t.Fatalf("Search %v range=%d subpel=%d counters diverged: got %+v want %+v", p.Kind, p.Range, p.SubPel, cGot, cWant)
+	}
+	return sc.RevisitsSkipped
+}
+
+// TestSearchMatchesRefWideRange checks Search against searchRef at the
+// ranges the encoder presets use (16–48 pixels), for hex and diamond at
+// every sub-pel depth and the exhaustive search at 16, on planes both
+// larger and smaller than the search window. The reference is a noisy
+// shifted copy of a smooth texture, so searches walk far from the start.
+func TestSearchMatchesRefWideRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var revisits int64
+	for iter := 0; iter < 240; iter++ {
+		p := Params{
+			Kind:   []SearchKind{SearchHex, SearchDiamond}[iter%2],
+			Range:  []int{16, 24, 32, 48}[(iter/2)%4],
+			SubPel: (iter / 8) % 3,
+			Lambda: int64(rng.Intn(400)),
+		}
+		if iter%40 == 39 {
+			p.Kind, p.Range = SearchFull, 16
+		}
+		// Every third plane is smaller than the search window.
+		W, H := 48+rng.Intn(80), 40+rng.Intn(60)
+		if iter%3 == 0 {
+			W, H = 16+rng.Intn(p.Range), 16+rng.Intn(p.Range)
+		}
+		phase := rng.Float64() * 6
+		fx, fy := 4+rng.Float64()*12, 4+rng.Float64()*12
+		cur := smoothPlane(W, H, 0, 0, fx, fy, phase)
+		dx, dy := rng.Intn(2*p.Range+1)-p.Range, rng.Intn(2*p.Range+1)-p.Range
+		ref := smoothPlane(W, H, dx, dy, fx, fy, phase)
+		for i := range ref.Pix {
+			ref.Pix[i] += uint8(rng.Intn(3)) - 1
+		}
+		bx, by := rng.Intn(W-16+1), rng.Intn(H-16+1)
+		pred := randMV(rng, p.Range)
+		revisits += checkSearch(t, cur, bx, by, ref, pred, 16, p)
+	}
+	if revisits == 0 {
+		t.Fatal("no search skipped a revisit: the visited-set path went untested")
+	}
+}
+
+// FuzzSearch checks Search against the verbatim searchRef — vector,
+// cost and the whole perf.Counters — for any plane sizes up to 96×96
+// (the reference plane may be smaller than the block), block position
+// and size, search kind, range (up to 64, the exhaustive search up to
+// 12), sub-pel depth, λ and predictor. seed draws the pixels; tex picks
+// the textures.
+func FuzzSearch(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(40), uint8(40), uint8(40), uint8(10), uint8(12), uint8(0), uint8(16), uint8(2), uint16(40), int16(6), int16(-3), uint8(0))
+	f.Add(int64(2), uint8(80), uint8(60), uint8(5), uint8(9), uint8(3), uint8(4), uint8(1), uint8(48), uint8(1), uint16(900), int16(-200), int16(150), uint8(4))
+	f.Add(int64(3), uint8(20), uint8(20), uint8(2), uint8(1), uint8(0), uint8(0), uint8(2), uint8(12), uint8(2), uint16(0), int16(9), int16(9), uint8(7))
+	f.Add(int64(4), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint16(0), int16(-32768), int16(32767), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, cw, ch, rw, rh, bx, by, kind, rng8, subpel uint8, lambda uint16, predX, predY int16, tex uint8) {
+		bs := []int{4, 8, 16}[tex%3]
+		p := Params{Kind: SearchKind(kind % 3), Range: int(rng8) % 65, SubPel: int(subpel % 3), Lambda: int64(lambda)}
+		if p.Kind == SearchFull {
+			p.Range %= 13
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cur := randPlane(rng, bs+int(cw)%81, bs+int(ch)%81, int(tex/3)%3)
+		ref := randPlane(rng, 1+int(rw)%96, 1+int(rh)%96, int(tex/9)%3)
+		checkSearch(t, cur, int(bx)%(cur.W-bs+1), int(by)%(cur.H-bs+1), ref, MV{int32(predX), int32(predY)}, bs, p)
+	})
+}

@@ -116,6 +116,12 @@ type Scratch struct {
 	// coding decision, and perf.Counters op counts stay at their
 	// nominal (full-block) values regardless of aborts.
 	SADEarlyExits int64
+
+	// RevisitsSkipped counts candidates searches using this Scratch
+	// did not cost because the same search had costed the same vector
+	// before. Telemetry only, like SADEarlyExits: a skipped candidate
+	// still bills its nominal perf.Counters work.
+	RevisitsSkipped int64
 }
 
 // tmpBuf returns an n-element intermediate buffer for the separable
@@ -338,6 +344,58 @@ func mvdBits(mv, pred MV) int64 {
 	return int64(bitstream.SEBits(mv.X-pred.X) + bitstream.SEBits(mv.Y-pred.Y))
 }
 
+// visitBits sizes a visitSet at 1<<visitBits slots. A hex or diamond
+// search with quarter-pel refinement costs a few dozen distinct
+// vectors, well inside the fill limit of three quarters.
+const visitBits = 7
+
+// visitSet records the vectors one Search call has costed, so a
+// candidate the search reaches again is not costed twice. Skipping one
+// is exact: when the vector was costed it scored ≥ the best cost of
+// that moment, the best cost only falls, and λ and pred are fixed for
+// the call, so the same cost cannot win the strict `< best` comparison
+// now — the argument that already justifies the SAD early exit.
+//
+// The table is fixed-size and open-addressed, so it lives on the
+// caller's stack. A vector it cannot hold (table at its fill limit, or
+// a component beyond ±32767 quarter-pel) is simply costed again,
+// which is always exact.
+type visitSet struct {
+	keys [1 << visitBits]uint32 // 0 marks an empty slot
+	n    int
+	// allInt is set once the exhaustive search has costed every
+	// integer vector within the search range; those are not stored.
+	allInt bool
+}
+
+// seen reports whether mv was costed earlier in this search and
+// records it if not. mv must lie within the search range.
+//
+//vbench:noalloc
+func (v *visitSet) seen(mv MV) bool {
+	if v.allInt && mv.X&3 == 0 && mv.Y&3 == 0 {
+		return true
+	}
+	if mv.X < -32767 || mv.X > 32767 || mv.Y < -32767 || mv.Y > 32767 {
+		return false
+	}
+	// Both halves are ≥ 1, so no key is 0.
+	key := uint32(mv.X+32768)<<16 | uint32(mv.Y+32768)
+	const mask = 1<<visitBits - 1
+	for i := (key * 0x9E3779B1) >> (32 - visitBits); ; i = (i + 1) & mask {
+		switch v.keys[i] {
+		case key:
+			return true
+		case 0:
+			if v.n < len(v.keys)*3/4 {
+				v.keys[i] = key
+				v.n++
+			}
+			return false
+		}
+	}
+}
+
 // intSearcher evaluates integer-pel candidates for one Search call.
 // It replaces the closure the search loops used to capture: a plain
 // struct passed by pointer stays on the caller's stack, where the
@@ -352,18 +410,35 @@ type intSearcher struct {
 	evals    int
 	// best mirrors the caller's incumbent best cost so SAD evaluation
 	// can stop as soon as a candidate is provably losing. earlyExits
-	// counts aborted evaluations (telemetry only).
+	// counts aborted evaluations and revisits skipped candidates
+	// (both telemetry only).
 	best       int64
 	earlyExits int64
+	revisits   int64
+	visited    visitSet
 }
 
-// cost returns SAD + λ·bits(mvd) for the integer-pel vector (mx, my).
-// The SAD scan aborts once it reaches best−mvCost: an aborted return
-// value is ≥ best, so the caller's `< best` comparison loses exactly
-// as it would on the full SAD, and best (always set from exact,
-// non-aborted evaluations) follows the same trajectory as a full
-// search — the selected vector and cost are bit-identical.
+// cost returns SAD + λ·bits(mvd) for the integer-pel vector (mx, my),
+// or math.MaxInt64 — a cost that loses every `< best` comparison —
+// when this search has costed the vector before (see visitSet). A
+// skipped vector still counts as an evaluation, so the nominal work
+// billed is unchanged.
 func (s *intSearcher) cost(mx, my int) int64 {
+	if s.visited.seen(MV{int32(mx) * 4, int32(my) * 4}) {
+		s.evals++
+		s.revisits++
+		return math.MaxInt64
+	}
+	return s.costFresh(mx, my)
+}
+
+// costFresh costs (mx, my) without consulting the visited set. The
+// SAD scan aborts once it reaches best−mvCost: an aborted return value
+// is ≥ best, so the caller's `< best` comparison loses exactly as it
+// would on the full SAD, and best (always set from exact, non-aborted
+// evaluations) follows the same trajectory as a full search — the
+// selected vector and cost are bit-identical.
+func (s *intSearcher) costFresh(mx, my int) int64 {
 	s.evals++
 	mv := MV{int32(mx) * 4, int32(my) * 4}
 	mvCost := s.lambda * mvdBits(mv, s.pred) / 16
@@ -399,17 +474,25 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 
 	switch p.Kind {
 	case SearchFull:
+		// The raster visits every vector once, so it needs no set
+		// lookups; only the start vector was costed before it.
 		for my := -p.Range; my <= p.Range; my++ {
 			for mx := -p.Range; mx <= p.Range; mx++ {
 				if mx == 0 && my == 0 {
 					continue
 				}
-				if c := s.cost(mx, my); c < bestCost {
+				if mx == startX && my == startY {
+					s.evals++
+					s.revisits++
+					continue
+				}
+				if c := s.costFresh(mx, my); c < bestCost {
 					bestCost, bestX, bestY = c, mx, my
 					s.best = c
 				}
 			}
 		}
+		s.visited.allInt = true
 	case SearchDiamond:
 		bestX, bestY, bestCost = patternSearch(bestX, bestY, bestCost, p.Range, diamondLarge[:], diamondSmall[:], &s)
 	case SearchHex:
@@ -422,6 +505,7 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 	if p.SubPel == 0 {
 		if sc != nil {
 			sc.SADEarlyExits += s.earlyExits
+			sc.RevisitsSkipped += s.revisits
 		}
 		return best, bestCost
 	}
@@ -430,7 +514,9 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 	// 8 neighbours of the incumbent. As in the integer stage, each
 	// candidate's SAD aborts once it reaches bestCost−mvCost; aborted
 	// values cannot win the comparison, so the refinement trajectory
-	// matches the full evaluation exactly.
+	// matches the full evaluation exactly. The rings of successive
+	// incumbents overlap, and a half-pel step can land on an integer
+	// vector the integer stage costed; the visited set skips those.
 	subEvals := 0
 	steps := [2]int32{2, 1}
 	nSteps := 1
@@ -448,6 +534,10 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 					continue
 				}
 				subEvals++
+				if s.visited.seen(cand) {
+					s.revisits++
+					continue
+				}
 				mvCost := p.Lambda * mvdBits(cand, pred) / 16
 				sad, early := sadSubpelThresh(cur, bx, by, ref, cand, bw, bh, bestCost-mvCost)
 				if early {
@@ -469,6 +559,7 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 	c.DataDepBranches += int64(subEvals)
 	if sc != nil {
 		sc.SADEarlyExits += s.earlyExits
+		sc.RevisitsSkipped += s.revisits
 	}
 	return best, bestCost
 }

@@ -35,11 +35,13 @@ var (
 	obsLevelOverflows = telemetry.GetCounter("codec.arena.level_overflows")
 
 	// Kernel-layer health (see internal/codec/kern): SAD evaluations the
-	// threshold kernels cut short. Deterministic for a given input —
-	// early termination never changes coding decisions or perf counter
-	// values, only wall-clock work — so a fixed workload always reports
-	// the same count.
-	obsKernSADEarlyExits = telemetry.GetCounter("codec.kern.sad_early_exits")
+	// threshold kernels cut short, and motion-search candidates not
+	// costed because the same search had costed that vector already.
+	// Deterministic for a given input — neither changes coding
+	// decisions or perf counter values, only wall-clock work — so a
+	// fixed workload always reports the same counts.
+	obsKernSADEarlyExits   = telemetry.GetCounter("codec.kern.sad_early_exits")
+	obsKernRevisitsSkipped = telemetry.GetCounter("codec.kern.search_revisits_skipped")
 
 	// Wavefront health (see wavefront.go and pipeline.go). Row stalls
 	// count episodes where a row worker had to wait for the row above

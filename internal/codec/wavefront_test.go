@@ -122,3 +122,26 @@ func TestWavefrontEngagesWorkers(t *testing.T) {
 		t.Fatalf("rows-parallel=4 recorded %d wavefront frames, want %d", n, len(src.Frames))
 	}
 }
+
+// TestSearchTelemetrySameUnderWavefront checks that wavefront lanes
+// report their search telemetry: the same decisions make the same SAD
+// early exits and skipped revisits whichever lane runs them, so the
+// codec.kern.* counters must advance by the same amount at
+// rows-parallel 1 and 4.
+func TestSearchTelemetrySameUnderWavefront(t *testing.T) {
+	src := testSequence(t, 48, 160, 3, defaultParams())
+	tools := BaselineTools(PresetMedium)
+	var exits, revisits [2]int64
+	for i, rp := range []int{1, 4} {
+		e0, r0 := obsKernSADEarlyExits.Value(), obsKernRevisitsSkipped.Value()
+		encodeWave(t, tools, src, Config{RC: RCConstQP, QP: 28, RowsParallel: rp})
+		exits[i], revisits[i] = obsKernSADEarlyExits.Value()-e0, obsKernRevisitsSkipped.Value()-r0
+	}
+	if exits[0] != exits[1] || revisits[0] != revisits[1] {
+		t.Fatalf("serial counted %d early exits and %d revisits, rows-parallel 4 counted %d and %d",
+			exits[0], revisits[0], exits[1], revisits[1])
+	}
+	if revisits[0] == 0 {
+		t.Fatal("no skipped revisits counted")
+	}
+}

@@ -1,10 +1,6 @@
 package corpus
 
-import (
-	"math"
-
-	"vbench/internal/rng"
-)
+import "math"
 
 // Video popularity follows a power law with exponential cutoff (Cha et
 // al., cited by the paper): most watch time concentrates in a few
@@ -53,23 +49,4 @@ func (m PopularityModel) WatchShare(k, n int) float64 {
 		return 0
 	}
 	return top / total
-}
-
-// SampleViews draws a synthetic view count for a random video,
-// following the model (used by examples that simulate upload traffic).
-func (m PopularityModel) SampleViews(r *rng.Rand, n int) int64 {
-	// Inverse-CDF sampling over ranks, then a Poisson-ish jitter.
-	var total float64
-	for rank := 1; rank <= n; rank++ {
-		total += m.Weight(rank)
-	}
-	x := r.Float64() * total
-	for rank := 1; rank <= n; rank++ {
-		x -= m.Weight(rank)
-		if x < 0 {
-			base := m.Weight(rank) * 1e9
-			return int64(base * (0.5 + r.Float64()))
-		}
-	}
-	return 1
 }

@@ -116,6 +116,24 @@ func (c *Counters) Add(other *Counters) {
 	c.DataDepBranches += other.DataDepBranches
 }
 
+// Sub removes other from c, so c − before is the work billed since a
+// snapshot before was taken.
+func (c *Counters) Sub(other *Counters) {
+	for i := range c.Ops {
+		c.Ops[i] -= other.Ops[i]
+		c.Invocations[i] -= other.Invocations[i]
+	}
+	c.MBTotal -= other.MBTotal
+	c.MBSkip -= other.MBSkip
+	c.MBIntra -= other.MBIntra
+	c.MBInter -= other.MBInter
+	c.BlocksCoded -= other.BlocksCoded
+	c.BitsOutput -= other.BitsOutput
+	c.Frames -= other.Frames
+	c.Pixels -= other.Pixels
+	c.DataDepBranches -= other.DataDepBranches
+}
+
 // Count records n ops in kernel k as a single invocation.
 func (c *Counters) Count(k Kernel, n int64) {
 	c.Ops[k] += n

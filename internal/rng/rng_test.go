@@ -133,22 +133,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(17)
-	const draws = 200000
-	var sum float64
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential draw %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.05 {
-		t.Errorf("exponential mean %v, want ~1", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(23)
 	for _, n := range []int{0, 1, 2, 10, 100} {
