@@ -413,17 +413,7 @@ func (fd *frameDecoder) reconstructIntra4Luma(cand *mbCand, px, py int) error {
 		if cand.lumaLevels[b] != nil {
 			reconstructBlockFromLevels(cand.lumaLevels[b], rblk[:], 4, cand.qp, fd.c)
 		}
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				v := int32(pred[y*4+x]) + rblk[y*4+x]
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				cand.lumaRecon[(oy+y)*MBSize+ox+x] = uint8(v)
-			}
-		}
+		cand.composeBlock4(ox, oy, pred[:], rblk[:])
 	}
 	return nil
 }
@@ -471,29 +461,10 @@ func (fd *frameDecoder) composeChroma(cand *mbCand, p int, pred []uint8, px, py 
 	composeRecon(cand.chromaRecon[p][:], pred, reconRes[:], 64)
 }
 
-// commit writes the reconstructed MB into the frame and grid state.
-// local is the slice-local macroblock row.
+// commit writes the reconstructed MB into the frame, grid, and QP
+// grid state. local is the slice-local macroblock row.
 func (fd *frameDecoder) commit(cand *mbCand, mbx, local int) {
-	px, py := mbx*MBSize, (fd.rowStart+local)*MBSize
-	w := fd.recon.Width
-	for y := 0; y < MBSize; y++ {
-		copy(fd.recon.Y[(py+y)*w+px:(py+y)*w+px+MBSize], cand.lumaRecon[y*MBSize:(y+1)*MBSize])
-	}
-	cw := fd.recon.ChromaWidth()
-	for p := 0; p < 2; p++ {
-		plane := fd.recon.Cb
-		if p == 1 {
-			plane = fd.recon.Cr
-		}
-		for y := 0; y < 8; y++ {
-			copy(plane[(py/2+y)*cw+px/2:(py/2+y)*cw+px/2+8], cand.chromaRecon[p][y*8:(y+1)*8])
-		}
-	}
-	info := fd.grid.at(mbx, local)
-	info.mode = cand.mode
-	info.mv = cand.mv
-	info.ref = cand.ref
-	info.qp = cand.qp
+	cand.commit(fd.recon, fd.grid, mbx, fd.rowStart, local)
 	fd.qpGrid[(fd.rowStart+local)*fd.mbW+mbx] = cand.qp
 	fd.c.MBTotal++
 }

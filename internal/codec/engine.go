@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vbench/internal/codec/kern"
@@ -18,20 +19,70 @@ import (
 	"vbench/internal/video"
 )
 
-// cpuGate bounds how many slice encoders run at once across ALL
+// cpuGate bounds how many encode goroutines run at once across ALL
 // concurrent Encode calls in the process — and, because it is the
 // same gate the harness worker pool draws cell slots from
-// (syncx.CPU), across both layers of nesting at once: N pool workers
-// × K slices can never put more than GOMAXPROCS goroutines to work.
-// The encoding goroutine never blocks on the gate: it drains the
-// slice queue itself (it already represents a granted execution
-// context — the pool worker's slot, in a harness run) and extra
-// helper goroutines join only if they win a slot via AcquireOrQuit
-// before the queue empties. No holder ever waits on the gate for work
-// a fellow waiter must finish, so the shared budget cannot deadlock
-// at any capacity. Determinism is unaffected because payloads and
-// counters are still merged in slice order.
+// (syncx.CPU), across every layer of nesting at once: N pool workers
+// × K slices × L wavefront lanes can never put more than GOMAXPROCS
+// goroutines to work. The encoding goroutine never blocks on the
+// gate: it does the work itself (it already represents a granted
+// execution context — the pool worker's slot, in a harness run) and
+// extra helpers — slice and lane helpers through helperJoin, the
+// lookahead's analysis helper — join only if they win a slot via
+// AcquireOrQuit. No holder ever waits on the gate for work a fellow
+// waiter must finish, so the shared budget cannot deadlock at any
+// capacity. Determinism is unaffected because payloads and counters
+// are still merged in slice and row order.
 var cpuGate = syncx.CPU
+
+// helperJoin runs work on the calling goroutine and on n helper
+// goroutines, and returns once all of them are done. It is the one
+// fan-out shape of the encoder: slices and wavefront lanes both use
+// it. work must pull its tasks from a shared cursor, so that any one
+// goroutine can finish all of them. The caller never touches the gate
+// — it represents an execution context its own caller already granted
+// — while a gated helper works only with a slot won through
+// AcquireOrQuit. quit closes as soon as the caller's own work returns:
+// a helper still queued on the gate then leaves without working, and
+// the join waits only for helpers that started. With tm set, each
+// helper's gate wait is added to tm.gateWait.
+func helperJoin(n int, gated bool, tm *stageTimes, work func()) {
+	quit := make(chan struct{})
+	var wg sync.WaitGroup
+	var waits []time.Duration
+	if gated && tm != nil {
+		waits = make([]time.Duration, n)
+	}
+	wg.Add(n)
+	for h := 0; h < n; h++ {
+		go func(h int) {
+			defer wg.Done()
+			if gated {
+				var t0 time.Time
+				if tm != nil {
+					t0 = time.Now()
+				}
+				if !cpuGate.AcquireOrQuit(quit) {
+					return
+				}
+				defer cpuGate.Release()
+				if tm != nil {
+					waits[h] = time.Since(t0)
+				}
+			}
+			work()
+		}(h)
+	}
+	work()
+	close(quit)
+	wg.Wait()
+	for _, w := range waits {
+		if w > 0 {
+			tm.gateWait += w
+			obsGateWait.ObserveDuration(w)
+		}
+	}
+}
 
 // intraAvailClipped is predict.Available restricted to a slice:
 // prediction from above must not cross the slice's first row
@@ -151,30 +202,15 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 	}
 	hdr.slices = nSlices
 
-	// Cross-frame pipelining (see pipeline.go): the source-side half of
-	// per-frame work — padding, denoise, scene-cut detection, AQ
-	// activity — runs ahead of the encode loop through a bounded
-	// hand-off, so frame N+1's analysis overlaps frame N's encode. The
-	// feeder is started before the measurement pass below so that in
-	// two-pass mode this pass's analysis also overlaps the first pass's
-	// encode; rate control itself cannot overlap, because two-pass QP
-	// planning needs every frame's measured bits before the first
-	// pass-2 QP is known (DESIGN.md, "Wavefront parallelism").
-	feeder := newFrameFeeder(e, cfg, src.Frames, mbW, mbH, hdr.adaptiveQuant)
-	feedQuit := make(chan struct{})
-	var feedWG sync.WaitGroup
-	if len(src.Frames) > 1 && cfg.RowsParallel != 1 {
-		feedWG.Add(1)
-		go func() {
-			defer feedWG.Done()
-			feeder.serve(feedQuit, cfg.RowsParallel == 0)
-		}()
+	// One-frame lookahead (see lookahead.go): frame i+1's source
+	// analysis runs while frame i encodes, and frame 0's while the
+	// two-pass measurement pass below runs.
+	look := &lookahead{a: analyzer{eng: e, cfg: cfg, frames: src.Frames, mbW: mbW, mbH: mbH, aq: hdr.adaptiveQuant, madEMA: -1}}
+	overlap := len(src.Frames) > 1 && cfg.RowsParallel != 1
+	if overlap {
+		look.start(0, cfg.RowsParallel == 0)
 	}
-	defer func() {
-		feeder.stop()
-		close(feedQuit)
-		feedWG.Wait()
-	}()
+	defer look.stop()
 
 	// Two-pass: run the measurement pass with a cheap tool set but the
 	// same GOP structure, and charge its work to this encode.
@@ -253,7 +289,10 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		if sp != nil {
 			fsp = sp.Child(fmt.Sprintf("frame %d", i))
 		}
-		fa := feeder.next()
+		fa := look.wait(i)
+		if overlap {
+			look.start(i+1, cfg.RowsParallel == 0)
+		}
 		srcP := fa.src
 		ftype := fa.ftype
 		res.Counters.Add(&fa.c)
@@ -271,10 +310,10 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		payloads := make([][]byte, nSlices)
 		sliceCounters := make([]perf.Counters, nSlices)
 		var sliceTimes []stageTimes
-		var helperWaits []time.Duration // per-helper gate wait, stages only
+		var tm *stageTimes
 		if stagesOn {
 			sliceTimes = make([]stageTimes, nSlices)
-			helperWaits = make([]time.Duration, nSlices)
+			tm = &st
 		}
 		fes := make([]*frameEncoder, nSlices)
 		for s := 0; s < nSlices; s++ {
@@ -293,60 +332,27 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		if nSlices == 1 {
 			payloads[0] = fes[0].encodeFrame()
 		} else {
-			// Caller-participates join: slice indices go through a
-			// queue that this goroutine drains itself — it represents
-			// its caller's already-granted execution context (the
-			// pool worker's gate slot, in a harness run) and must not
-			// block on the gate while holding it. Helper goroutines
-			// only join with a slot of their own via AcquireOrQuit;
-			// once the queue is drained, quit releases any helper
-			// still waiting. No goroutine ever waits on the gate for
-			// work another waiter must finish, so the shared budget
-			// cannot deadlock at any capacity or nesting.
+			// Slices are claimed from a shared cursor by this goroutine
+			// and by gated helpers (see helperJoin); a slice panic
+			// becomes the encode's error.
 			var errOnce sync.Once
-			runSlice := func(s int) {
-				defer func() {
-					if r := recover(); r != nil {
-						errOnce.Do(func() { encErr = fmt.Errorf("codec: slice %d panicked: %v", s, r) })
-					}
-				}()
-				payloads[s] = fes[s].encodeFrame()
-			}
-			jobs := make(chan int, nSlices)
-			for s := 0; s < nSlices; s++ {
-				jobs <- s
-			}
-			close(jobs)
-			quit := make(chan struct{})
-			var wg sync.WaitGroup
+			var next atomic.Int32
 			helpers := nSlices - 1
 			if c := cpuGate.Capacity(); helpers > c {
 				helpers = c
 			}
-			for w := 0; w < helpers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					if stagesOn {
-						t0 := time.Now()
-						if !cpuGate.AcquireOrQuit(quit) {
-							return
-						}
-						helperWaits[w] = time.Since(t0)
-					} else if !cpuGate.AcquireOrQuit(quit) {
-						return
-					}
-					defer cpuGate.Release()
-					for s := range jobs {
-						runSlice(s)
-					}
-				}(w)
-			}
-			for s := range jobs {
-				runSlice(s)
-			}
-			close(quit)
-			wg.Wait()
+			helperJoin(helpers, true, tm, func() {
+				for s := int(next.Add(1)) - 1; s < nSlices; s = int(next.Add(1)) - 1 {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								errOnce.Do(func() { encErr = fmt.Errorf("codec: slice %d panicked: %v", s, r) })
+							}
+						}()
+						payloads[s] = fes[s].encodeFrame()
+					}()
+				}
+			})
 		}
 		if encErr != nil {
 			fsp.End() // close the frame span on the panic-error path too
@@ -358,14 +364,6 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		}
 		for s := range sliceTimes {
 			st.add(&sliceTimes[s])
-		}
-		// Gate waits belong to the helper goroutines now, not to
-		// slices: a helper that quit without a slot records nothing.
-		for _, hw := range helperWaits {
-			if hw > 0 {
-				st.gateWait += hw
-				obsGateWait.ObserveDuration(hw)
-			}
 		}
 
 		out = append(out, byte(ftype), byte(qpBase))
@@ -677,7 +675,7 @@ func (fe *frameEncoder) decideMB(mbx, local int) (*mbCand, motion.MV) {
 	}
 
 	predMV := fe.grid.predMV(mbx, local)
-	fe.applyCand(cand, mbx, local)
+	cand.commit(fe.recon, fe.grid, mbx, fe.rowStart, local)
 	fe.qpGrid[gRow*fe.mbW+mbx] = cand.qp
 	switch cand.mode {
 	case mbSkip:
@@ -742,13 +740,25 @@ func (fe *frameEncoder) decideIntraMB(px, py, qp, qpDelta int) *mbCand {
 		fe.c.DataDepBranches++
 	}
 
+	// Chroma coding does not depend on the luma variant, so it is
+	// coded once, on the first candidate; each later variant shares its
+	// levels and reconstruction and bills its work again, so the
+	// counters end where coding it per variant would leave them.
 	cand := fe.buildIntraCand(px, py, bestMode, bestCMode, false, qp, qpDelta)
+	chroma := *fe.c
+	fe.codeChromaIntra(cand, px, py, bestCMode)
+	chromaWork := *fe.c
+	chromaWork.Sub(&chroma)
 	if t.Transform8x8 {
 		cand8 := fe.buildIntraCand(px, py, bestMode, bestCMode, true, qp, qpDelta)
+		cand8.chromaLevels, cand8.chromaRecon = cand.chromaLevels, cand.chromaRecon
+		fe.c.Add(&chromaWork)
 		cand = fe.pickByRD(px, py, cand, cand8)
 	}
 	if t.Intra4x4 {
 		cand4 := fe.buildIntra4Cand(px, py, bestCMode, qp, qpDelta)
+		cand4.chromaLevels, cand4.chromaRecon = cand.chromaLevels, cand.chromaRecon
+		fe.c.Add(&chromaWork)
 		cand = fe.pickByRD(px, py, cand, cand4)
 	}
 	return cand
@@ -1037,7 +1047,8 @@ func (fe *frameEncoder) codeInterLuma(cand *mbCand, px, py int) {
 	fe.codeLuma(cand, pred[:], resid[:], transform.DeadZoneInter, fe.eng.Tools.Trellis)
 }
 
-// buildIntraCand constructs a fully reconstructed intra candidate.
+// buildIntraCand constructs an intra candidate with its luma coded and
+// reconstructed; decideIntraMB codes the chroma.
 func (fe *frameEncoder) buildIntraCand(px, py int, lumaMode, chromaMode predict.Mode, tx8 bool, qp, qpDelta int) *mbCand {
 	t := &fe.eng.Tools
 	cand := fe.sc.cands.get()
@@ -1050,8 +1061,6 @@ func (fe *frameEncoder) buildIntraCand(px, py int, lumaMode, chromaMode predict.
 	var resid [MBSize * MBSize]int32
 	fe.lumaResidual(px, py, pred[:], resid[:])
 	fe.codeLuma(cand, pred[:], resid[:], transform.DeadZoneIntra, t.Trellis)
-
-	fe.codeChromaIntra(cand, px, py, chromaMode)
 	return cand
 }
 
@@ -1069,9 +1078,9 @@ func (fe *frameEncoder) codeChromaIntra(cand *mbCand, px, py int, chromaMode pre
 	}
 }
 
-// buildIntra4Cand constructs a per-4×4-block intra candidate: each
-// block chooses its own directional mode, predicted from the blocks
-// reconstructed before it.
+// buildIntra4Cand constructs a per-4×4-block intra candidate's luma:
+// each block chooses its own directional mode, predicted from the
+// blocks reconstructed before it. decideIntraMB codes the chroma.
 func (fe *frameEncoder) buildIntra4Cand(px, py int, chromaMode predict.Mode, qp, qpDelta int) *mbCand {
 	t := &fe.eng.Tools
 	cand := fe.sc.cands.get()
@@ -1116,20 +1125,8 @@ func (fe *frameEncoder) buildIntra4Cand(px, py int, chromaMode predict.Mode, qp,
 		}
 		// Reconstruct into the candidate so later blocks predict from
 		// the coded samples, exactly as the decoder will.
-		for y := 0; y < 4; y++ {
-			for x := 0; x < 4; x++ {
-				v := int32(bestPred[y*4+x]) + rblk[y*4+x]
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				cand.lumaRecon[(oy+y)*MBSize+ox+x] = uint8(v)
-			}
-		}
+		cand.composeBlock4(ox, oy, bestPred[:], rblk[:])
 	}
-
-	fe.codeChromaIntra(cand, px, py, chromaMode)
 	return cand
 }
 
@@ -1202,6 +1199,14 @@ func (fe *frameEncoder) codeChroma(cand *mbCand, p int, pred []uint8, resid []in
 		}
 	}
 	composeRecon(cand.chromaRecon[p][:], pred, reconRes[:], 64)
+}
+
+// composeBlock4 writes clip(pred + res) into the 4×4 block at (ox, oy)
+// of the candidate's luma reconstruction.
+func (c *mbCand) composeBlock4(ox, oy int, pred []uint8, res []int32) {
+	for y := 0; y < 4; y++ {
+		composeRecon(c.lumaRecon[(oy+y)*MBSize+ox:], pred[y*4:], res[y*4:], 4)
+	}
 }
 
 // gatherBlock copies an n×n sub-block out of a stride-w region.
@@ -1341,29 +1346,4 @@ func (fe *frameEncoder) writeMBTail(c *mbCand) {
 			}
 		}
 	}
-}
-
-// applyCand commits a candidate's reconstruction into the frame and
-// updates the MB grid. local is the slice-local macroblock row.
-func (fe *frameEncoder) applyCand(c *mbCand, mbx, local int) {
-	px, py := mbx*MBSize, (fe.rowStart+local)*MBSize
-	w := fe.recon.Width
-	for y := 0; y < MBSize; y++ {
-		copy(fe.recon.Y[(py+y)*w+px:(py+y)*w+px+MBSize], c.lumaRecon[y*MBSize:(y+1)*MBSize])
-	}
-	cw := fe.recon.ChromaWidth()
-	for p := 0; p < 2; p++ {
-		plane := fe.recon.Cb
-		if p == 1 {
-			plane = fe.recon.Cr
-		}
-		for y := 0; y < 8; y++ {
-			copy(plane[(py/2+y)*cw+px/2:(py/2+y)*cw+px/2+8], c.chromaRecon[p][y*8:(y+1)*8])
-		}
-	}
-	info := fe.grid.at(mbx, local)
-	info.mode = c.mode
-	info.mv = c.mv
-	info.ref = c.ref
-	info.qp = c.qp
 }

@@ -43,19 +43,14 @@ var (
 	obsKernSADEarlyExits   = telemetry.GetCounter("codec.kern.sad_early_exits")
 	obsKernRevisitsSkipped = telemetry.GetCounter("codec.kern.search_revisits_skipped")
 
-	// Wavefront health (see wavefront.go and pipeline.go). Row stalls
-	// count episodes where a row worker had to wait for the row above
-	// to advance; occupancy records how many workers actually encoded
-	// rows of each wavefront frame; pipeline depth records how many
-	// analyzed frames were queued ahead of the encode loop at each
-	// consumption. All three depend on scheduling, so they are
-	// telemetry only and never feed perf.Counters (which stay
-	// byte-deterministic).
+	// Wavefront health (see wavefront.go). Row stalls count episodes
+	// where a row worker had to wait for the row above to advance;
+	// occupancy records how many workers actually encoded rows of each
+	// wavefront frame. Both depend on scheduling, so they are telemetry
+	// only and never feed perf.Counters (which stay byte-deterministic).
 	obsWaveRowStalls = telemetry.GetCounter("codec.wave.row_stalls")
 	obsWaveOccupancy = telemetry.GetHistogram("codec.wave.occupancy",
 		1, 2, 4, 8, 16, 32)
-	obsWaveDepth = telemetry.GetHistogram("codec.wave.pipeline_depth",
-		0, 1, 2, 4)
 )
 
 // The frame pool lives in internal/video (both encoder and decoder

@@ -63,7 +63,9 @@ type Config struct {
 	// spare capacity exists; 1 = strictly serial rows (wavefront
 	// off); 2..64 = exactly that many dedicated row lanes regardless
 	// of gate capacity, for tests and benchmarks that must exercise
-	// the concurrent path on any host. Every setting produces the
+	// the concurrent path on any host. The same setting governs the
+	// one-frame lookahead (see lookahead.go): off at 1, a gate-shared
+	// helper at 0, a dedicated one above 1. Every setting produces the
 	// identical bitstream — only scheduling changes.
 	RowsParallel int
 }

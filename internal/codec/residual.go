@@ -58,12 +58,7 @@ func quantizeBlock(res []int32, reconRes []int32, n, qp int, dz transform.DeadZo
 	}
 
 	// Reconstruction path shared bit-for-bit with the decoder.
-	var levels, deq [64]int32
-	transform.Unscan(zz[:nn], levels[:nn], n)
-	transform.Dequantize(levels[:nn], deq[:nn], qp)
-	transform.Inverse(deq[:nn], reconRes[:nn], n)
-	c.Count(perf.KQuant, int64(nn))
-	c.Count(perf.KDCT, int64(4*n*nn))
+	reconstructBlockFromLevels(zz[:nn], reconRes, n, qp, c)
 
 	out := la.take(nn)
 	copy(out, zz[:nn])

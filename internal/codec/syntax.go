@@ -261,6 +261,34 @@ func (c *mbCand) chromaPlaneCoded(p int) bool {
 	return false
 }
 
+// commit writes the candidate's reconstruction into recon and its
+// mode, vector, reference and QP into the slice grid: the state later
+// macroblocks predict from, the same on both sides of the codec.
+// rowStart is the slice's first macroblock row; local is the row
+// within the slice.
+func (c *mbCand) commit(recon *video.Frame, grid *mbGrid, mbx, rowStart, local int) {
+	px, py := mbx*MBSize, (rowStart+local)*MBSize
+	w := recon.Width
+	for y := 0; y < MBSize; y++ {
+		copy(recon.Y[(py+y)*w+px:(py+y)*w+px+MBSize], c.lumaRecon[y*MBSize:(y+1)*MBSize])
+	}
+	cw := recon.ChromaWidth()
+	for p := 0; p < 2; p++ {
+		plane := recon.Cb
+		if p == 1 {
+			plane = recon.Cr
+		}
+		for y := 0; y < 8; y++ {
+			copy(plane[(py/2+y)*cw+px/2:(py/2+y)*cw+px/2+8], c.chromaRecon[p][y*8:(y+1)*8])
+		}
+	}
+	info := grid.at(mbx, local)
+	info.mode = c.mode
+	info.mv = c.mv
+	info.ref = c.ref
+	info.qp = c.qp
+}
+
 // quadBlocks4 lists the 4×4 block indices (raster order within the MB,
 // 4 blocks per row) belonging to each 8×8 quadrant.
 var quadBlocks4 = [4][4]int{

@@ -3,7 +3,6 @@ package codec
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"vbench/internal/codec/motion"
 	"vbench/internal/perf"
@@ -31,16 +30,17 @@ import (
 // are byte-identical to the serial path by construction, and the
 // golden-digest matrix pins that.
 //
-// Deadlock-freedom with the shared CPU gate: the slice goroutine
-// (which already represents a granted execution context) claims and
-// encodes rows itself and never blocks on the gate; helpers join only
-// via AcquireOrQuit, exactly like the slice fan-out. Among workers, let
-// r₀ be the smallest claimed-but-unfinished row. Every row below r₀ is
-// fully serialized (each worker finishes its row — decide, wait for
-// the write cursor, serialize — before claiming another), so r₀'s
-// worker can never be parked: its upstream row is complete, its lane's
-// previous tenant (row r₀−L) is serialized, and the write cursor is at
-// r₀. Progress is therefore always possible at any gate capacity.
+// Deadlock-freedom with the shared CPU gate: rows fan out through
+// helperJoin, like slices — the slice goroutine (which already
+// represents a granted execution context) claims and encodes rows
+// itself and never blocks on the gate; helpers join only via
+// AcquireOrQuit. Among workers, let r₀ be the smallest
+// claimed-but-unfinished row. Every row below r₀ is fully serialized
+// (each worker finishes its row — decide, wait for the write cursor,
+// serialize — before claiming another), so r₀'s worker can never be
+// parked: its upstream row is complete, its lane's previous tenant
+// (row r₀−L) is serialized, and the write cursor is at r₀. Progress is
+// therefore always possible at any gate capacity.
 
 // waveCoord synchronizes the row workers of one slice-frame: per-row
 // decide progress, the claim cursor, and the serialization cursor. One
@@ -254,49 +254,9 @@ func (fe *frameEncoder) encodeRowsWave(rows int) {
 		fe.lanes[i].attach(fe)
 	}
 
-	quit := make(chan struct{})
-	var wg sync.WaitGroup
-	var helperWaits []time.Duration
-	if fe.tm != nil {
-		helperWaits = make([]time.Duration, nLanes-1)
-	}
-	for w := 0; w < nLanes-1; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if fe.gateShared {
-				if fe.tm != nil {
-					t0 := time.Now()
-					if !cpuGate.AcquireOrQuit(quit) {
-						return
-					}
-					helperWaits[w] = time.Since(t0)
-				} else if !cpuGate.AcquireOrQuit(quit) {
-					return
-				}
-				defer cpuGate.Release()
-			}
-			fe.waveWork(nLanes)
-		}(w)
-	}
-	fe.waveWork(nLanes)
-
-	// All rows are claimed; wait for the stragglers to serialize (or
-	// for an abort), then release any helper still queued on the gate.
-	wc.mu.Lock()
-	for wc.written < rows && wc.panicked == nil {
-		wc.cond.Wait()
-	}
-	wc.mu.Unlock()
-	close(quit)
-	wg.Wait()
-
-	for _, hw := range helperWaits {
-		if hw > 0 {
-			fe.tm.gateWait += hw
-			obsGateWait.ObserveDuration(hw)
-		}
-	}
+	// Every claimed row belongs to a goroutine the join waits for, so
+	// once it returns every row is serialized (or the frame aborted).
+	helperJoin(nLanes-1, fe.gateShared, fe.tm, func() { fe.waveWork(nLanes) })
 	obsWaveRowStalls.Add(wc.stalls)
 	obsWaveOccupancy.Observe(float64(wc.workers))
 	if wc.panicked != nil {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"vbench/internal/syncx"
 	"vbench/internal/video"
 )
 
@@ -46,8 +48,8 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 // encoded at rows-parallel 1 (serial), 2, and 8 — across GOMAXPROCS 1
 // and 4, single- and multi-slice, one-pass and two-pass — must produce
 // byte-identical bitstreams, reconstructions, and perf counters. Run
-// under -race this also exercises the row coordinator and the frame
-// feeder for data races.
+// under -race this also exercises the row coordinator, the helper
+// join, and the one-frame lookahead for data races.
 func TestWavefrontDeterministicUnderParallelism(t *testing.T) {
 	src := testSequence(t, 96, 96, 5, defaultParams())
 	tools := BaselineTools(PresetMedium)
@@ -143,5 +145,60 @@ func TestSearchTelemetrySameUnderWavefront(t *testing.T) {
 	}
 	if revisits[0] == 0 {
 		t.Fatal("no skipped revisits counted")
+	}
+}
+
+// TestEncodeFinishesOnSaturatedGate pins the rule every fan-out in
+// Encode relies on: the encoding goroutine never waits on the CPU
+// gate. With every slot of the gate held elsewhere, no slice helper,
+// wavefront lane helper, or lookahead helper can ever start, yet a
+// multi-slice, gate-shared, two-pass encode must still finish on the
+// caller alone, match the serial result byte for byte, and leave no
+// goroutine behind.
+func TestEncodeFinishesOnSaturatedGate(t *testing.T) {
+	src := testSequence(t, 96, 128, 4, defaultParams())
+	tools := BaselineTools(PresetMedium)
+	base := Config{RC: RCTwoPass, BitrateBPS: 120e3, Slices: 4}
+	serialCfg := base
+	serialCfg.RowsParallel = 1
+	serial := encodeWave(t, tools, src, serialCfg)
+
+	saved := cpuGate
+	defer func() { cpuGate = saved }()
+	// Capacity 1 leaves the wavefront off (one lane per slice); at
+	// capacity 2 each two-row slice runs two lanes, one a helper.
+	for _, capacity := range []int{1, 2} {
+		cpuGate = syncx.NewCPUGate(capacity)
+		for i := 0; i < capacity; i++ {
+			cpuGate.Acquire()
+		}
+		before := runtime.NumGoroutine()
+		done := make(chan *Result, 1)
+		go func() {
+			cfg := base
+			cfg.RowsParallel = 0
+			res, err := (&Engine{Tools: tools}).Encode(src, cfg)
+			if err != nil {
+				t.Errorf("capacity %d: %v", capacity, err)
+			}
+			done <- res
+		}()
+		var got *Result
+		select {
+		case got = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("capacity %d: encode blocked on a saturated gate", capacity)
+		}
+		if got == nil {
+			continue
+		}
+		sameResult(t, fmt.Sprintf("saturated gate, capacity %d", capacity), serial, got)
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("capacity %d: %d goroutines left behind", capacity, n-before)
+		}
 	}
 }

@@ -5,12 +5,12 @@ import "runtime"
 // CPUGate is a counting semaphore that bounds how many CPU-bound
 // workers run at once. The process shares one instance (CPU below)
 // between the harness worker pool, the codec's slice encoders, the
-// wavefront row workers inside each slice, and the cross-frame
-// analysis feeder, so nested parallelism — a pool of grid cells, each
-// encoding with multiple slices, each slice fanning rows out across
-// lanes while the next frame's analysis runs ahead — cannot
-// oversubscribe the machine: no matter how the layers compose, at
-// most capacity goroutines do codec work concurrently.
+// wavefront row workers inside each slice, and the codec's one-frame
+// analysis lookahead, so nested parallelism — a pool of grid cells,
+// each encoding with multiple slices, each slice fanning rows out
+// across lanes while the next frame's analysis runs alongside —
+// cannot oversubscribe the machine: no matter how the layers compose,
+// at most capacity goroutines do codec work concurrently.
 //
 // Tokens are modeled as elements in a buffered channel: Acquire sends
 // (blocking while capacity holders exist), Release receives. The gate
@@ -22,12 +22,13 @@ import "runtime"
 // invocation) must never block on the gate while others depend on it
 // — it should do queued work itself and let extra helpers join via
 // AcquireOrQuit. Blocking waits while holding are what deadlock
-// counting semaphores at small capacities. Every gate user follows
-// this shape: the slice fan-out drains its own queue, a wavefront
-// slice goroutine claims rows itself while helper lanes AcquireOrQuit
-// per row batch, and the frame feeder releases its slot before ever
-// waiting for ring space — so at capacity 1 each layer degrades to
-// its serial path instead of deadlocking.
+// counting semaphores at small capacities. Every codec gate user
+// follows this shape: slices and wavefront rows fan out through one
+// helper join, in which the calling goroutine works through the shared
+// queue itself while helpers AcquireOrQuit, and the lookahead's
+// consumer analyzes a frame itself when its helper never won a slot —
+// so at capacity 1 each layer degrades to its serial path instead of
+// deadlocking.
 type CPUGate struct {
 	tokens chan struct{}
 }
