@@ -88,7 +88,16 @@ Run "vbenchd <subcommand> -h" for the subcommand's flags.
 `))
 }
 
-func runMaster(args []string) error {
+// profileFlag binds -cpuprofile on fs. Only the CPU profile of
+// telemetry.Options is taken: vbenchd's own -trace writes fleet spans,
+// not the Chrome trace the shared -trace flag means elsewhere.
+func profileFlag(fs *flag.FlagSet) *telemetry.Options {
+	o := &telemetry.Options{}
+	fs.StringVar(&o.CPUProfilePath, "cpuprofile", "", "write a CPU profile of the process from start to shutdown to this file (read with go tool pprof)")
+	return o
+}
+
+func runMaster(args []string) (err error) {
 	fs := flag.NewFlagSet("vbenchd master", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7933", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening")
@@ -102,7 +111,17 @@ func runMaster(args []string) error {
 	tracePath := fs.String("trace", "", "write a Chrome trace of master-side lease spans here on shutdown")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed transcode cache directory: submissions with a stored result complete instantly, duplicate in-flight submissions dedup onto one job")
+	prof := profileFlag(fs)
 	fs.Parse(args)
+	flushProfile, err := prof.Activate()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if ferr := flushProfile(); err == nil {
+			err = ferr
+		}
+	}()
 
 	opt := fleet.Options{
 		LeaseTTL:    *leaseTTL,
@@ -235,7 +254,7 @@ func saveSnapshot(q *fleet.Queue, path string) error {
 	return os.Rename(tmp, path)
 }
 
-func runWorker(args []string) error {
+func runWorker(args []string) (err error) {
 	fs := flag.NewFlagSet("vbenchd worker", flag.ExitOnError)
 	master := fs.String("master", "http://127.0.0.1:7933", "master base URL")
 	id := fs.String("id", "", "worker id (default host-pid)")
@@ -246,7 +265,17 @@ func runWorker(args []string) error {
 	noPush := fs.Bool("no-push", false, "do not piggyback worker metric snapshots on heartbeats")
 	rowsParallel := fs.Int("rows-parallel", 0, "wavefront rows per slice for encode jobs that don't set it: 0 = share the CPU gate, 1 = serial rows, 2..64 = dedicated row lanes")
 	cacheDir := fs.String("cache-dir", "", "shared content-addressed transcode cache directory (serve cached encodes, store fresh ones)")
+	prof := profileFlag(fs)
 	fs.Parse(args)
+	flushProfile, err := prof.Activate()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if ferr := flushProfile(); err == nil {
+			err = ferr
+		}
+	}()
 
 	if *id == "" {
 		host, _ := os.Hostname()

@@ -6,6 +6,8 @@ package bitstream
 // decoder below are exact mirrors: every sequence of (bit, prob)
 // operations on the encoder decodes back identically.
 
+import "math"
+
 // normShift[r] is the number of left shifts needed to bring a range
 // value r (1..255) up to at least 128.
 var normShift [256]uint8
@@ -240,6 +242,11 @@ func (e *ArithEncoder) EncodeUnaryGolomb(v uint32, ctxs []Context, maxPrefix int
 	}
 }
 
+// MalformedUnaryGolomb is what DecodeUnaryGolomb returns for an escape
+// longer than any uint32 needs. Only corrupt input decodes to it: a
+// decoder whose window has left the coding range reads 1 bits forever.
+const MalformedUnaryGolomb = math.MaxUint32
+
 // DecodeUnaryGolomb mirrors EncodeUnaryGolomb.
 func (d *ArithDecoder) DecodeUnaryGolomb(ctxs []Context, maxPrefix int, k uint) uint32 {
 	var v uint32
@@ -254,6 +261,9 @@ func (d *ArithDecoder) DecodeUnaryGolomb(ctxs []Context, maxPrefix int, k uint) 
 	for d.DecodeBypass() == 1 {
 		excess += 1 << k
 		k++
+		if k >= 32 {
+			return MalformedUnaryGolomb
+		}
 	}
 	excess += d.DecodeBypassBits(k)
 	return uint32(maxPrefix) + excess

@@ -353,3 +353,15 @@ func TestArithLongMixedStream(t *testing.T) {
 		}
 	}
 }
+
+// TestUnaryGolombMalformedEscapeEnds: a window that starts above the
+// coding range (only corrupt input does that) decodes 1 bits forever;
+// the bypass escape must stop and report the value as malformed.
+func TestUnaryGolombMalformedEscapeEnds(t *testing.T) {
+	d := NewArithDecoder([]byte{0xff, 0xff})
+	ctxs := make([]Context, 4)
+	InitContexts(ctxs)
+	if v := d.DecodeUnaryGolomb(ctxs, 8, 1); v != MalformedUnaryGolomb {
+		t.Fatalf("got %d, want MalformedUnaryGolomb", v)
+	}
+}

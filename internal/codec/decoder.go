@@ -87,7 +87,7 @@ func Decode(data []byte) (*video.Sequence, *perf.Counters, error) {
 			}
 		}
 		if hdr.deblock {
-			deblockFrame(recon, qpGrid, mbW, mbH, c)
+			deblockSeams(recon, qpGrid, mbW, bounds, c)
 		}
 		refs = append([]*video.Frame{recon}, refs...)
 		if len(refs) > hdr.refs {
@@ -138,6 +138,9 @@ func (fd *frameDecoder) decodeSlice() error {
 			if err := fd.decodeMB(mbx, local); err != nil {
 				return fmt.Errorf("MB (%d,%d): %w", mbx, fd.rowStart+local, err)
 			}
+		}
+		if fd.hdr.deblock {
+			deblockAfter(fd.recon, fd.qpGrid, fd.mbW, fd.rowStart, rows, local)
 		}
 	}
 	fd.c.Ops[perf.KDecode] += fd.r.Bins()

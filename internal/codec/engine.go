@@ -378,7 +378,7 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		rc.update(i, frameBits)
 
 		if e.Tools.Deblock {
-			deblockFrame(recon, qpGrid, mbW, mbH, &res.Counters)
+			deblockSeams(recon, qpGrid, mbW, bounds, &res.Counters)
 		}
 		refs = append([]*video.Frame{recon}, refs...)
 		if len(refs) > e.Tools.MaxRefs {
@@ -612,6 +612,7 @@ func (fe *frameEncoder) encodeFrame() []byte {
 			for mbx := 0; mbx < fe.mbW; mbx++ {
 				fe.encodeMB(mbx, local)
 			}
+			fe.deblockAfter(local)
 		}
 	}
 	var payload []byte
@@ -626,6 +627,16 @@ func (fe *frameEncoder) encodeFrame() []byte {
 	fe.c.Invocations[perf.KEntropy] += int64(fe.mbW * rows)
 	fe.c.BitsOutput += int64(len(payload)+4) * 8 // payload + slice header
 	return payload
+}
+
+// deblockAfter runs the deblocking units that coding slice-local row
+// local releases (see deblock.go).
+//
+//vbench:noalloc
+func (fe *frameEncoder) deblockAfter(local int) {
+	if fe.hdr.deblock {
+		deblockAfter(fe.recon, fe.qpGrid, fe.mbW, fe.rowStart, fe.rowEnd-fe.rowStart, local)
+	}
 }
 
 // lumaPlane returns a motion.Plane view of a frame's luma.

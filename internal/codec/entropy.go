@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"errors"
+
 	"vbench/internal/codec/bitstream"
 )
 
@@ -215,6 +217,9 @@ func (a *arithReader) Bypass() (int, error) {
 
 func (a *arithReader) UE(set int) (uint32, error) {
 	v := a.d.DecodeUnaryGolomb(a.ctx[set][:], maxUnaryPrefix, 1)
+	if v == bitstream.MalformedUnaryGolomb {
+		return 0, errors.New("codec: malformed arithmetic-coded integer")
+	}
 	a.bins += int64(bitstream.UEBits(v))
 	return v, nil
 }

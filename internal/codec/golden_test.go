@@ -105,7 +105,7 @@ func goldenCases() []goldenCase {
 // goldenSequence synthesizes the deterministic source clip for one
 // dimension cell. Content parameters are fixed forever: changing them
 // invalidates every digest.
-func goldenSequence(t *testing.T, w, h int) *video.Sequence {
+func goldenSequence(t testing.TB, w, h int) *video.Sequence {
 	t.Helper()
 	seq, err := video.Generate(video.ContentParams{
 		Seed: 77, Detail: 0.5, Motion: 0.4, Noise: 0.1,

@@ -3,9 +3,11 @@ package codec
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"vbench/internal/rng"
+	"vbench/internal/video"
 )
 
 // The decoder is the trust boundary of the codec: it consumes bytes
@@ -74,6 +76,32 @@ func TestDecoderSurvivesRandomGarbage(t *testing.T) {
 		}
 		safeDecode(t, data)
 	}
+}
+
+// FuzzDecode: whatever bytes reach Decode, it returns an error or a
+// decoded sequence; it never panics or hangs. The seeds are the
+// bitstreams of the golden matrix (every tool variant, slices and
+// rate-control mode); testdata/fuzz/FuzzDecode holds an input on which
+// the arithmetic decoder's Exp-Golomb escape used to loop forever.
+func FuzzDecode(f *testing.F) {
+	seqs := map[string]*video.Sequence{}
+	for _, gc := range goldenCases() {
+		key := fmt.Sprintf("%dx%d", gc.w, gc.h)
+		if seqs[key] == nil {
+			seqs[key] = goldenSequence(f, gc.w, gc.h)
+		}
+		res, err := (&Engine{Tools: gc.tool}).Encode(seqs[key], gc.cfg)
+		if err != nil {
+			f.Fatalf("%s: %v", gc.name, err)
+		}
+		f.Add(res.Bitstream)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seq, c, err := Decode(data)
+		if err == nil && (seq == nil || c == nil) {
+			t.Fatal("Decode returned neither a sequence nor an error")
+		}
+	})
 }
 
 func TestDecoderRejectsOversizedDimensions(t *testing.T) {

@@ -320,17 +320,22 @@ func (fe *frameEncoder) encodeWaveRow(r, nLanes int) bool {
 	if !wc.awaitWritten(r) {
 		return false
 	}
-	fe.finishRow(lane)
+	fe.finishRow(lane, r)
 	wc.rowWritten()
 	return true
 }
 
-// finishRow serializes a decided row through the slice's writer and
-// folds the lane's work accounting into the slice totals. Callers hold
-// the write turn (written == row), so access to the writer and the
-// slice counters is exclusive and in row order — which keeps both the
-// bitstream and the merged perf.Counters byte-for-byte deterministic.
-func (fe *frameEncoder) finishRow(lane *waveLane) {
+// finishRow serializes decided row r through the slice's writer, folds
+// the lane's work accounting into the slice totals, and deblocks one
+// row behind. Callers hold the write turn (written == r), so access to
+// the writer and the slice counters is exclusive and in row order —
+// which keeps both the bitstream and the merged perf.Counters
+// byte-for-byte deterministic — and row r's turn runs the deblocking
+// units in the serial order while other lanes decide the rows below:
+// unit r−1 writes rows r−2 and r−1, and a deciding row reads only the
+// row above it (the slice's last turn adds its own unit, with no row
+// left to decide).
+func (fe *frameEncoder) finishRow(lane *waveLane, r int) {
 	for x := 0; x < fe.mbW; x++ {
 		fe.writeCand(lane.cands[x], lane.mvs[x])
 		lane.enc.cands.put(lane.cands[x])
@@ -342,4 +347,5 @@ func (fe *frameEncoder) finishRow(lane *waveLane) {
 		fe.tm.add(&lane.tm)
 		lane.tm = stageTimes{}
 	}
+	fe.deblockAfter(r)
 }
