@@ -16,9 +16,9 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the project analyzers (detorder, hotalloc, leakgo,
-# locksafe, metricname, spanpair, statemachine — see docs/LINT.md)
-# through the go vet driver so results cache per package.
+# lint runs the project analyzers (hotalloc, locksafe, metricname,
+# spanpair, statemachine — see docs/LINT.md) through the go vet
+# driver so results cache per package.
 lint:
 	$(GO) build -o bin/vbenchlint ./cmd/vbenchlint
 	$(GO) vet -vettool=$(CURDIR)/bin/vbenchlint ./...

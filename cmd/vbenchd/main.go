@@ -107,7 +107,7 @@ func runMaster(args []string) (err error) {
 	backoffMax := fs.Duration("backoff-max", 30*time.Second, "requeue backoff cap")
 	sweep := fs.Duration("sweep", time.Second, "lease-expiry sweep interval")
 	state := fs.String("state", "", "snapshot file: restored at boot, written on shutdown")
-	logTransitions := fs.Bool("log-transitions", false, "record the job-state transition log and dump it on shutdown")
+	logTransitions := fs.Bool("log-transitions", false, "dump every job's state-transition timeline on shutdown")
 	tracePath := fs.String("trace", "", "write a Chrome trace of master-side lease spans here on shutdown")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address (e.g. localhost:6060)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed transcode cache directory: submissions with a stored result complete instantly, duplicate in-flight submissions dedup onto one job")
@@ -129,7 +129,6 @@ func runMaster(args []string) (err error) {
 		BackoffBase: *backoff,
 		BackoffMax:  *backoffMax,
 		Metrics:     telemetry.Default,
-		RecordLog:   *logTransitions,
 	}
 	if *cacheDir != "" {
 		store, err := cas.Open(*cacheDir, telemetry.Default)
@@ -203,7 +202,7 @@ func runMaster(args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "vbenchd master: state saved to %s\n", *state)
 	}
 	if *logTransitions {
-		io.WriteString(os.Stderr, q.TransitionLog())
+		io.WriteString(os.Stderr, q.DumpTimelines())
 	}
 	if tracer != nil {
 		if err := writeTrace(tracer, *tracePath); err != nil {

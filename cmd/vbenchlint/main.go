@@ -1,6 +1,6 @@
 // Command vbenchlint runs the repository's static analyzers
-// (detorder, hotalloc, leakgo, locksafe, metricname, spanpair,
-// statemachine — see docs/LINT.md).
+// (hotalloc, locksafe, metricname, spanpair, statemachine — see
+// docs/LINT.md).
 //
 // It speaks two protocols:
 //

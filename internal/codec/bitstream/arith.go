@@ -109,6 +109,7 @@ type ArithDecoder struct {
 	value    uint32 // 16-bit coding window
 	rng      uint32
 	bitCount int
+	overread bool
 }
 
 // NewArithDecoder returns a decoder over data produced by
@@ -119,14 +120,25 @@ func NewArithDecoder(data []byte) *ArithDecoder {
 	return d
 }
 
+// nextByte feeds the coding window. Past the end of the data it
+// shifts in zeros and records the overread.
 func (d *ArithDecoder) nextByte() byte {
 	if d.pos < len(d.buf) {
 		b := d.buf[d.pos]
 		d.pos++
 		return b
 	}
+	d.overread = true
 	return 0
 }
+
+// Overread reports whether the decoder has needed a byte past the end
+// of its data. Decoding the bits of a stream from ArithEncoder.Bytes
+// never does once at least one bit was coded: the 32 terminating bits
+// cover the 16-bit window. So once it is set, every further bit is
+// made up, and a caller that decodes untrusted data stops there
+// instead of decoding zeros forever.
+func (d *ArithDecoder) Overread() bool { return d.overread }
 
 // DecodeBit decodes one bit previously coded with probability prob.
 func (d *ArithDecoder) DecodeBit(prob uint8) int {

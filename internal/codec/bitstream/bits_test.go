@@ -270,6 +270,43 @@ func TestArithContextRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestArithDecodeNeverOverreads: decoding exactly the bits that were
+// coded, with their probabilities, never needs a byte past the end of
+// ArithEncoder.Bytes, whatever the bits and probabilities. Decoders of
+// untrusted streams rely on this to reject any overread as corrupt.
+func TestArithDecodeNeverOverreads(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 1 + r.Intn(2000)
+		bits := make([]int, n)
+		probs := make([]uint8, n)
+		for i := range bits {
+			probs[i] = uint8(1 + r.Intn(255))
+			// Half the bits follow their probability, so long
+			// runs of extreme, cheap bins occur too.
+			if r.Intn(2) == 0 {
+				bits[i] = r.Intn(2)
+			} else if r.Intn(256) >= int(probs[i]) {
+				bits[i] = 1
+			}
+		}
+		e := NewArithEncoder()
+		for i, b := range bits {
+			e.EncodeBit(b, probs[i])
+		}
+		d := NewArithDecoder(e.Bytes())
+		for i, b := range bits {
+			if d.DecodeBit(probs[i]) != b || d.Overread() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestUnaryGolombRoundTrip(t *testing.T) {
 	vals := []uint32{0, 1, 2, 3, 5, 14, 15, 16, 100, 1000, 100000}
 	for _, maxPrefix := range []int{1, 4, 14} {

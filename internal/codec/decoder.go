@@ -131,12 +131,22 @@ type frameDecoder struct {
 // sliceTopPx returns the luma row of the slice's first sample.
 func (fd *frameDecoder) sliceTopPx() int { return fd.rowStart * MBSize }
 
+// errOverread rejects a slice whose macroblocks need more bits than
+// its payload holds. It bounds the decode work by the bytes present: a
+// valid stream never overreads, so the slice stops at the first
+// macroblock that did rather than decoding made-up bits to the end of
+// a frame as large as its header declares.
+var errOverread = errors.New("codec: slice payload ends before its last macroblock")
+
 func (fd *frameDecoder) decodeSlice() error {
 	rows := fd.rowEnd - fd.rowStart
 	for local := 0; local < rows; local++ {
 		for mbx := 0; mbx < fd.mbW; mbx++ {
 			if err := fd.decodeMB(mbx, local); err != nil {
 				return fmt.Errorf("MB (%d,%d): %w", mbx, fd.rowStart+local, err)
+			}
+			if fd.r.Overread() {
+				return fmt.Errorf("MB (%d,%d): %w", mbx, fd.rowStart+local, errOverread)
 			}
 		}
 		if fd.hdr.deblock {

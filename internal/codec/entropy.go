@@ -73,13 +73,17 @@ type symWriter interface {
 	Flush() []byte
 }
 
-// symReader mirrors symWriter on the decode side.
+// symReader mirrors symWriter on the decode side. Overread reports a
+// reader that has run past its payload: the golomb reader's reads fail
+// there already, while the arithmetic decoder goes on decoding zeros,
+// so the slice decoder asks once per macroblock.
 type symReader interface {
 	Bit(set int) (int, error)
 	Bypass() (int, error)
 	UE(set int) (uint32, error)
 	SE(set int) (int32, error)
 	Bins() int64
+	Overread() bool
 }
 
 // golombWriter implements symWriter over a plain bit writer.
@@ -152,7 +156,8 @@ func (g *golombReader) SE(_ int) (int32, error) {
 	return v, err
 }
 
-func (g *golombReader) Bins() int64 { return g.bins }
+func (g *golombReader) Bins() int64    { return g.bins }
+func (g *golombReader) Overread() bool { return false }
 
 // arithWriter implements symWriter over the adaptive arithmetic coder.
 type arithWriter struct {
@@ -229,7 +234,8 @@ func (a *arithReader) SE(set int) (int32, error) {
 	return seUnmap(u), err
 }
 
-func (a *arithReader) Bins() int64 { return a.bins }
+func (a *arithReader) Bins() int64    { return a.bins }
+func (a *arithReader) Overread() bool { return a.d.Overread() }
 
 // runCtxSet and levelCtxSet select position-adaptive context sets for
 // residual coding. With RichContexts the choice depends on the zigzag

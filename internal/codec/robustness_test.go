@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vbench/internal/rng"
@@ -82,7 +83,9 @@ func TestDecoderSurvivesRandomGarbage(t *testing.T) {
 // decoded sequence; it never panics or hangs. The seeds are the
 // bitstreams of the golden matrix (every tool variant, slices and
 // rate-control mode); testdata/fuzz/FuzzDecode holds an input on which
-// the arithmetic decoder's Exp-Golomb escape used to loop forever.
+// the arithmetic decoder's Exp-Golomb escape used to loop forever, and
+// one that decoded three 8192×8192 frames of made-up macroblocks from
+// empty payloads.
 func FuzzDecode(f *testing.F) {
 	seqs := map[string]*video.Sequence{}
 	for _, gc := range goldenCases() {
@@ -102,6 +105,24 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("Decode returned neither a sequence nor an error")
 		}
 	})
+}
+
+// TestDecoderBoundsWorkByPayload: 35 bytes declare three 8192×8192
+// arithmetic-coded frames whose slice payloads are empty. The
+// arithmetic decoder reads zeros past the end of a payload, so before
+// decoding stopped at the first overread this stream decoded 786 432
+// made-up macroblocks and returned no error. testdata/fuzz/FuzzDecode
+// holds the same bytes.
+func TestDecoderBoundsWorkByPayload(t *testing.T) {
+	data := []byte("VBC1 \x00 \x00\x00\x00u0\x00\x03\x01\x01\x01" +
+		"\x00\x1a\x00\x00\x00\x00\x01\x1a\x00\x00\x00\x00\x01\x1a\x00\x00\x00\x00")
+	if len(data) != 35 {
+		t.Fatalf("stream is %d bytes, want 35", len(data))
+	}
+	_, _, err := Decode(data)
+	if err == nil || !strings.HasPrefix(err.Error(), "codec: frame 0 slice 0: MB (0,0): ") {
+		t.Errorf("Decode = %v, want an error at frame 0's first macroblock", err)
+	}
 }
 
 func TestDecoderRejectsOversizedDimensions(t *testing.T) {

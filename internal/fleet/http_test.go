@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +242,43 @@ func TestWorkerGracefulDrain(t *testing.T) {
 	st := q.Stats()
 	if st.Done != 1 || st.Completions != 1 {
 		t.Errorf("drained worker lost its in-flight job: %+v", st)
+	}
+}
+
+// TestLoopbackLeavesNoGoroutines runs a loopback master and a
+// two-slot worker through a batch whose jobs outlast several
+// heartbeats, shuts both down, and requires the goroutine count to
+// return to its baseline: a worker slot, heartbeat or master
+// goroutine that outlives its shutdown fails here with its stack.
+func TestLoopbackLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	q := NewQueue(Options{Metrics: telemetry.NewRegistry(), LeaseTTL: time.Hour})
+	srv := httptest.NewServer(NewServer(q).Handler())
+	submitNoops(t, srv.URL, 4, 30)
+	w, err := NewWorker(WorkerOptions{
+		Master: srv.URL, ID: "w1", Concurrency: 2,
+		Poll: 5 * time.Millisecond, Heartbeat: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() { defer close(workerDone); w.Run(ctx) }()
+	waitDone(t, q, 4, 10*time.Second)
+	cancel()
+	<-workerDone
+	srv.Close()
+
+	// HTTP connection goroutines wind down just after their sockets
+	// close; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines running, %d before the batch:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"container/heap"
 	"fmt"
 	"sync"
@@ -30,9 +29,6 @@ type Options struct {
 	// Metrics receives the fleet.* counters and gauges; nil selects
 	// telemetry.Default.
 	Metrics *telemetry.Registry
-	// RecordLog enables the job-state transition log (used by the
-	// determinism tests and by vbenchd master -log-transitions).
-	RecordLog bool
 	// OnTransition observes every validated state change (including
 	// submission, as from "none"). It is invoked under the queue lock
 	// with a detached job copy, in transition order; it must be fast
@@ -104,7 +100,6 @@ type Queue struct {
 	ready    readyHeap
 	exp      expiryHeap
 	stats    Stats
-	log      bytes.Buffer
 	eventSeq int64 // queue-wide timeline sequence
 	workers  map[string]*workerAccount
 
@@ -125,7 +120,7 @@ type Queue struct {
 // workerAccount is the master's per-worker liveness and activity
 // ledger, fed by every request a worker makes. It observes the
 // workers; it never steers scheduling, so the deterministic twin's
-// transition logs and stats are unaffected by it.
+// timelines and stats are unaffected by it.
 type workerAccount struct {
 	lastSeen                                  time.Time
 	leases, heartbeats, completions, failures int64
@@ -177,9 +172,8 @@ func (q *Queue) LeaseTTL() time.Duration { return q.opt.LeaseTTL }
 func (q *Queue) now() time.Time { return q.opt.Clock.Now() }
 
 // setState performs one validated transition and all the bookkeeping
-// that hangs off it: per-state gauges, the transition log, the job's
-// event timeline, and the per-state counts in Stats. Callers hold
-// q.mu.
+// that hangs off it: per-state gauges, the job's event timeline, and
+// the per-state counts in Stats. Callers hold q.mu.
 func (q *Queue) setState(j *Job, to State, reason string) {
 	from := j.State
 	if !validEdge[from][to] {
@@ -192,11 +186,9 @@ func (q *Queue) setState(j *Job, to State, reason string) {
 }
 
 // record funnels every state change — setState edges plus submission
-// — into the three observability sinks: the byte-stable transition
-// log, the job's bounded event timeline, and the optional transition
-// observer. Callers hold q.mu.
+// — into the two observability sinks: the job's bounded event
+// timeline, and the optional transition observer. Callers hold q.mu.
 func (q *Queue) record(j *Job, from, to, reason string) {
-	q.logTransition(j, from, to, reason)
 	q.recordTimeline(j, from, to, reason)
 	if q.opt.OnTransition != nil {
 		q.opt.OnTransition(j.clone(), from, to, reason)
@@ -235,21 +227,6 @@ func (q *Queue) countState(s State, d int) {
 	q.gDepth.Set(float64(q.stats.Pending + q.stats.Leased))
 }
 
-// logTransition appends one fixed-format line to the transition log.
-// The timestamp is seconds since the queue started, so simulated runs
-// produce byte-identical logs independent of wall time.
-func (q *Queue) logTransition(j *Job, from, to, reason string) {
-	if !q.opt.RecordLog {
-		return
-	}
-	w := j.Worker
-	if w == "" {
-		w = "-"
-	}
-	fmt.Fprintf(&q.log, "t=%.3f job=%d attempt=%d %s>%s reason=%s worker=%s\n",
-		q.now().Sub(q.start).Seconds(), j.ID, j.Attempt, from, to, reason, w)
-}
-
 // SetOnTransition installs (or, with nil, removes) the transition
 // observer after construction; see Options.OnTransition for the
 // contract. Server.EnableTracing uses it.
@@ -257,13 +234,6 @@ func (q *Queue) SetOnTransition(fn func(j Job, from, to, reason string)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.opt.OnTransition = fn
-}
-
-// TransitionLog returns a copy of the recorded transition log.
-func (q *Queue) TransitionLog() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.log.String()
 }
 
 // Submit validates and enqueues a job, returning its ID (IDs are

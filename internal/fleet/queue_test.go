@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -237,30 +236,6 @@ func TestInvalidTransitionPanics(t *testing.T) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.setState(q.jobs[id-1], Leased, "bug")
-}
-
-func TestTransitionLogRecordsLifecycle(t *testing.T) {
-	q, clk := simQueue(Options{RecordLog: true, LeaseTTL: 5 * time.Second, BackoffBase: time.Second})
-	id, _ := q.Submit(noopSpec())
-	q.Lease("w1")
-	clk.Advance(clk.Now().Add(6 * time.Second))
-	q.ExpireLeases()
-	j, _ := q.Job(id)
-	clk.Advance(j.ReadyAt)
-	q.Lease("w2")
-	q.Complete(id, 2, "w2", Result{})
-
-	want := strings.Join([]string{
-		"t=0.000 job=1 attempt=0 none>pending reason=submit worker=-",
-		"t=0.000 job=1 attempt=1 pending>leased reason=lease worker=w1",
-		"t=6.000 job=1 attempt=1 leased>pending reason=lease_expired worker=w1",
-		"t=7.000 job=1 attempt=2 pending>leased reason=lease worker=w2",
-		"t=7.000 job=1 attempt=2 leased>done reason=complete worker=w2",
-		"",
-	}, "\n")
-	if got := q.TransitionLog(); got != want {
-		t.Errorf("transition log:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"hash/fnv"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,6 @@ func simOptions() Options {
 		LeaseTTL:    time.Hour,
 		MaxAttempts: 3,
 		BackoffBase: time.Second,
-		RecordLog:   true,
 	}
 }
 
@@ -50,24 +50,14 @@ func runFaultySim(t *testing.T, workers int) *Sim {
 	return s
 }
 
-func TestSimTransitionLogDeterministic(t *testing.T) {
-	a := runFaultySim(t, 3)
-	b := runFaultySim(t, 3)
-	logA, logB := a.Q.TransitionLog(), b.Q.TransitionLog()
-	if logA != logB {
-		t.Fatalf("same-config runs diverged:\n--- run A ---\n%s--- run B ---\n%s", logA, logB)
-	}
-	st := a.Q.Stats()
-	if st.Retries == 0 || st.Failed == 0 {
-		t.Errorf("fault model injected nothing useful: %+v", st)
-	}
-	if st.Done+st.Failed != st.Submitted || st.Pending != 0 || st.Leased != 0 {
-		t.Errorf("unresolved jobs at end of run: %+v", st)
-	}
-}
-
 func TestSimGoldenStatsAcrossWorkerCounts(t *testing.T) {
 	base := runFaultySim(t, 1).Q.Stats()
+	if base.Retries == 0 || base.Failed == 0 {
+		t.Errorf("fault model injected nothing useful: %+v", base)
+	}
+	if base.Done+base.Failed != base.Submitted || base.Pending != 0 || base.Leased != 0 {
+		t.Errorf("unresolved jobs at end of run: %+v", base)
+	}
 	for _, workers := range []int{2, 3, 5} {
 		if got := runFaultySim(t, workers).Q.Stats(); got != base {
 			t.Errorf("stats with %d workers = %+v, want %+v (1 worker)", workers, got, base)
@@ -77,7 +67,8 @@ func TestSimGoldenStatsAcrossWorkerCounts(t *testing.T) {
 
 func TestSimGoldenTransitionLog(t *testing.T) {
 	// One worker, two jobs; job 2 fails transiently once. Pins the
-	// exact byte-level schedule of the discrete-event twin.
+	// exact byte-level schedule of the discrete-event twin, as every
+	// job's transition timeline.
 	model := func(j Job) (float64, Outcome, Result) {
 		if j.ID == 2 && j.Attempt == 1 {
 			return 1, OutcomeTransient, Result{}
@@ -94,18 +85,18 @@ func TestSimGoldenTransitionLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		"t=0.000 job=1 attempt=0 none>pending reason=submit worker=-",
-		"t=0.000 job=1 attempt=1 pending>leased reason=lease worker=sim-w0",
-		"t=0.000 job=2 attempt=0 none>pending reason=submit worker=-",
-		"t=2.000 job=1 attempt=1 leased>done reason=complete worker=sim-w0",
-		"t=2.000 job=2 attempt=1 pending>leased reason=lease worker=sim-w0",
-		"t=3.000 job=2 attempt=1 leased>pending reason=transient_error worker=sim-w0",
-		"t=4.000 job=2 attempt=2 pending>leased reason=lease worker=sim-w0",
-		"t=5.000 job=2 attempt=2 leased>done reason=complete worker=sim-w0",
+		"job=1 seq=1 t=0.000 none>pending reason=submit attempt=0 worker=-",
+		"job=1 seq=2 t=0.000 pending>leased reason=lease attempt=1 worker=sim-w0",
+		"job=1 seq=4 t=2.000 leased>done reason=complete attempt=1 worker=sim-w0",
+		"job=2 seq=3 t=0.000 none>pending reason=submit attempt=0 worker=-",
+		"job=2 seq=5 t=2.000 pending>leased reason=lease attempt=1 worker=sim-w0",
+		"job=2 seq=6 t=3.000 leased>pending reason=transient_error attempt=1 worker=sim-w0",
+		"job=2 seq=7 t=4.000 pending>leased reason=lease attempt=2 worker=sim-w0",
+		"job=2 seq=8 t=5.000 leased>done reason=complete attempt=2 worker=sim-w0",
 		"",
 	}, "\n")
-	if got := s.Q.TransitionLog(); got != want {
-		t.Errorf("golden log mismatch:\n got:\n%s\nwant:\n%s", got, want)
+	if got := s.Timelines(); got != want {
+		t.Errorf("golden timelines mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -139,8 +130,9 @@ func TestSimCrashedWorkerLeaseExpiryRecovery(t *testing.T) {
 	if j.Completions != 1 || j.Attempt != 2 || j.Result.Worker != "sim-w1" {
 		t.Errorf("recovered job = %+v result=%+v", j, j.Result)
 	}
-	if log := s.Q.TransitionLog(); !strings.Contains(log, "reason=lease_expired worker=sim-w0") {
-		t.Errorf("transition log missing expiry line:\n%s", log)
+	expiry := regexp.MustCompile(`(?m)^job=1 seq=\d+ t=\S+ leased>pending reason=lease_expired attempt=1 worker=sim-w0$`)
+	if tl := s.Timelines(); !expiry.MatchString(tl) {
+		t.Errorf("timelines missing job 1's lease expiry:\n%s", tl)
 	}
 }
 

@@ -27,8 +27,8 @@ type snapshot struct {
 
 const snapshotVersion = 1
 
-// Snapshot serializes the queue state. The transition log is not part
-// of the snapshot (it is an observability artifact, not state).
+// Snapshot serializes the queue state, each job's event timeline
+// included.
 func (q *Queue) Snapshot(w io.Writer) error {
 	q.mu.Lock()
 	s := snapshot{Version: snapshotVersion, Stats: q.stats, Start: q.start}

@@ -15,8 +15,8 @@ const timelineCap = 32
 // TimelineEvent is one structured state transition in a job's life,
 // recorded at the queue's setState choke point. Seq is a queue-wide
 // monotonic sequence number (total order across jobs); T is seconds
-// since the queue started, the same clock domain as the transition
-// log, so simulated runs produce byte-identical timelines.
+// since the queue started, so simulated runs produce byte-identical
+// timelines.
 type TimelineEvent struct {
 	Seq     int64   `json:"seq"`
 	T       float64 `json:"t"`
@@ -73,9 +73,8 @@ func (q *Queue) Timeline(id int) ([]TimelineEvent, int, error) {
 }
 
 // DumpTimelines renders every job's timeline in job order as fixed-
-// format lines. Like the transition log, the output is a pure function
-// of the schedule: the determinism tests pin it byte-for-byte across
-// repeated sim runs.
+// format lines. The output is a pure function of the schedule: the
+// determinism tests pin it byte-for-byte across repeated sim runs.
 func (q *Queue) DumpTimelines() string {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -47,53 +47,83 @@ func TestSimTimelinesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTimelineRecordsLifecycle checks the event ring's contents for a
-// retried job: submit, lease, transient failure, re-lease, completion,
-// with attempts and workers attached.
+// TestTimelineRecordsLifecycle checks the event ring's contents, clock
+// and sequence numbers included, for a job that loses its first
+// attempt and completes on the second: once through a transient
+// failure, once through a lease that expires when its worker goes
+// silent.
 func TestTimelineRecordsLifecycle(t *testing.T) {
-	q, clk := simQueue(Options{BackoffBase: time.Second})
-	id, err := q.Submit(noopSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.Lease("w1"); !ok {
-		t.Fatal("lease failed")
-	}
-	if err := q.Fail(id, 1, "w1", false, "boom"); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(clk.Now().Add(2 * time.Second))
-	if _, ok := q.Lease("w2"); !ok {
-		t.Fatal("re-lease failed")
-	}
-	if _, err := q.Complete(id, 2, "w2", Result{}); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		lose func(q *Queue, clk *SimClock, id int)
+		want []string
+	}{{
+		name: "transient failure",
+		lose: func(q *Queue, clk *SimClock, id int) {
+			if err := q.Fail(id, 1, "w1", false, "boom"); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(clk.Now().Add(2 * time.Second))
+		},
+		want: []string{
+			"seq=1 t=0.000 none>pending reason=submit attempt=0 worker=-",
+			"seq=2 t=0.000 pending>leased reason=lease attempt=1 worker=w1",
+			"seq=3 t=0.000 leased>pending reason=transient_error attempt=1 worker=w1",
+			"seq=4 t=2.000 pending>leased reason=lease attempt=2 worker=w2",
+			"seq=5 t=2.000 leased>done reason=complete attempt=2 worker=w2",
+		},
+	}, {
+		name: "lease expiry",
+		lose: func(q *Queue, clk *SimClock, id int) {
+			clk.Advance(clk.Now().Add(6 * time.Second))
+			q.ExpireLeases()
+			j, err := q.Job(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(j.ReadyAt)
+		},
+		want: []string{
+			"seq=1 t=0.000 none>pending reason=submit attempt=0 worker=-",
+			"seq=2 t=0.000 pending>leased reason=lease attempt=1 worker=w1",
+			"seq=3 t=6.000 leased>pending reason=lease_expired attempt=1 worker=w1",
+			"seq=4 t=7.000 pending>leased reason=lease attempt=2 worker=w2",
+			"seq=5 t=7.000 leased>done reason=complete attempt=2 worker=w2",
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, clk := simQueue(Options{LeaseTTL: 5 * time.Second, BackoffBase: time.Second})
+			id, err := q.Submit(noopSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := q.Lease("w1"); !ok {
+				t.Fatal("lease failed")
+			}
+			tc.lose(q, clk, id)
+			if _, ok := q.Lease("w2"); !ok {
+				t.Fatal("re-lease failed")
+			}
+			if _, err := q.Complete(id, 2, "w2", Result{}); err != nil {
+				t.Fatal(err)
+			}
 
-	events, dropped, err := q.Timeline(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dropped != 0 {
-		t.Fatalf("dropped = %d, want 0", dropped)
-	}
-	want := []string{
-		"none>pending reason=submit attempt=0 worker=-",
-		"pending>leased reason=lease attempt=1 worker=w1",
-		"leased>pending reason=transient_error attempt=1 worker=w1",
-		"pending>leased reason=lease attempt=2 worker=w2",
-		"leased>done reason=complete attempt=2 worker=w2",
-	}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events, want %d: %v", len(events), len(want), events)
-	}
-	for i, e := range events {
-		if !strings.Contains(e.String(), want[i]) {
-			t.Errorf("event %d = %q, want containing %q", i, e.String(), want[i])
-		}
-		if int64(i)+1 != e.Seq {
-			t.Errorf("event %d has seq %d, want %d", i, e.Seq, i+1)
-		}
+			events, dropped, err := q.Timeline(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dropped != 0 {
+				t.Fatalf("dropped = %d, want 0", dropped)
+			}
+			if len(events) != len(tc.want) {
+				t.Fatalf("got %d events, want %d: %v", len(events), len(tc.want), events)
+			}
+			for i, e := range events {
+				if got := e.String(); got != tc.want[i] {
+					t.Errorf("event %d = %q, want %q", i, got, tc.want[i])
+				}
+			}
+		})
 	}
 }
 

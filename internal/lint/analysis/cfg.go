@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the per-function control-flow graph the dataflow
-// analyzers (locksafe, spanpair, leakgo) run over. It is deliberately
+// analyzers (locksafe, spanpair) run over. It is deliberately
 // lightweight: blocks hold ast.Node statement lists in source order,
 // edges model structured control flow (if/for/range/switch/select,
 // break/continue/goto with labels, return, terminal panic), and
@@ -24,7 +24,6 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
-	Preds []*Block
 	// Cond is set when the block ends in an if condition: Succs[0] is
 	// taken when it is true, Succs[1] when it is false.
 	Cond ast.Expr
@@ -49,11 +48,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	b.stmtList(body.List)
 	b.edge(b.cur, b.cfg.Exit)
 	b.resolveGotos()
-	for _, blk := range b.cfg.Blocks {
-		for _, s := range blk.Succs {
-			s.Preds = append(s.Preds, blk)
-		}
-	}
 	return b.cfg
 }
 
